@@ -32,7 +32,7 @@ from .gambles import (
     atom_size,
     count_representation,
 )
-from .lp import LpProblem, solve
+from .cones import _decompose
 from .exchangeability import update_count_gamble
 
 __all__ = [
@@ -376,30 +376,6 @@ class BernsteinCone:
         )
 
 
-def _nonpositive_combination_lp(
-    raised: SequenceABC[Gamble], space: CountSpace
-) -> Optional[tuple[Fraction, ...]]:
-    """Normalized nonnegative weights making the combination <= 0, if any."""
-    variables = [(f"g{i}", "nonneg") for i in range(len(raised))]
-    inequalities = []
-    for w in range(space.size):
-        row = {
-            f"g{i}": g.values[w] for i, g in enumerate(raised) if g.values[w]
-        }
-        inequalities.append((row, Fraction(0)))
-    normalization = {f"g{i}": Fraction(1) for i in range(len(raised))}
-    problem = LpProblem(
-        variables,
-        equalities=[(normalization, Fraction(1))],
-        inequalities=inequalities,
-    )
-    outcome = solve(problem)
-    if not outcome.is_feasible:
-        return None
-    assert outcome.witness is not None
-    return tuple(outcome.witness[f"g{i}"] for i in range(len(raised)))
-
-
 def avoids_bernstein_nonpositivity(cone: BernsteinCone) -> ConeVerdict:
     """Can no normalized combination of generators expand nonpositively?
 
@@ -420,16 +396,11 @@ def avoids_bernstein_nonpositivity(cone: BernsteinCone) -> ConeVerdict:
     if cone.cap < start:
         raise ValueError("the degree cap is below a generator's degree")
     for n in range(start, cone.cap + 1):
-        space = CountSpace(cone.categories, n)
         raised = [p.raised(n) for p in generators]
-        weights = _nonpositive_combination_lp(raised, space)
-        if weights is not None:
-            combination = Gamble.zero(space)
-            for weight, g in zip(weights, raised):
-                if weight:
-                    combination = combination + weight * g
+        solution = _decompose(CountSpace(cone.categories, n), raised, normalized=True)
+        if solution is not None:
             return ConeVerdict(
-                "violated", degree=n, weights=weights, combination=combination
+                "violated", degree=n, weights=solution.weights, combination=-solution.slack
             )
         floor = min(g.min_value() for g in raised)
         if floor > 0:
@@ -485,30 +456,12 @@ def bernstein_natex_member(cone: BernsteinCone, q: BernsteinPoly) -> MemberVerdi
     if cone.cap < start:
         raise ValueError("the degree cap is below the degrees involved")
     for n in range(start, cone.cap + 1):
-        space = CountSpace(cone.categories, n)
-        target = q.raised(n)
         raised = [p.raised(n) for p in generators]
-        if not raised:
-            if target.is_nonnegative():
-                return MemberVerdict("yes", degree=n, weights=(), residual=target)
-            continue
-        variables = [(f"g{i}", "nonneg") for i in range(len(raised))]
-        inequalities = []
-        for w in range(space.size):
-            row = {
-                f"g{i}": g.values[w] for i, g in enumerate(raised) if g.values[w]
-            }
-            inequalities.append((row, target.values[w]))
-        problem = LpProblem(variables, inequalities=inequalities)
-        outcome = solve(problem)
-        if outcome.is_feasible:
-            assert outcome.witness is not None
-            weights = tuple(outcome.witness[f"g{i}"] for i in range(len(raised)))
-            residual = target
-            for weight, g in zip(weights, raised):
-                if weight:
-                    residual = residual - weight * g
-            return MemberVerdict("yes", degree=n, weights=weights, residual=residual)
+        solution = _decompose(CountSpace(cone.categories, n), raised, rhs=q.raised(n))
+        if solution is not None:
+            return MemberVerdict(
+                "yes", degree=n, weights=solution.weights, residual=solution.slack
+            )
     return MemberVerdict("no_up_to_cap", cap=cone.cap)
 
 

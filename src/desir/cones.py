@@ -4,19 +4,26 @@ A cone is described by a finite assessment of gambles, an optional
 lineality basis (a linear subspace added to every element), and the
 implicit positive orthant: the represented set is the positive hull of
 the assessment together with all nonzero nonnegative gambles, shifted by
-the lineality space.  Every query reduces to an exact rational linear
-program:
+the lineality space.
 
-* coherence, as avoiding non-positivity: no normalized nonnegative
-  combination of assessment gambles and unit indicators, plus a lineality
-  shift, is pointwise nonpositive;
-* membership in the natural extension: the queried gamble decomposes
-  over generators, indicators, and lineality with a nonzero nonnegative
-  part;
-* lower prevision: the largest constant whose subtraction keeps the
-  gamble inside the cone.
+Every query reduces to one exact rational linear program: does a gamble
+decompose as a nonnegative combination of given gambles plus a lineality
+shift plus a nonnegative remainder?  The program has one row per point,
+combination <= rhs, and the row slacks are the remainder, that is the
+weights of the unit indicators.  The queries differ only in what they
+feed it:
 
-Cones are immutable; the coherence verdict is computed once and cached.
+* coherence, as avoiding non-positivity: rhs zero, the unit indicators
+  as extra columns, and the nonnegative weights normalized to sum to
+  one; a solution is a pointwise nonpositive combination;
+* membership in the natural extension: rhs the queried gamble, and the
+  total nonnegative weight maximized, which must be positive;
+* lower prevision: rhs the queried gamble, the constant gamble as one
+  more free column, and its weight maximized.
+
+The Bernstein scans in desir.bernstein solve the same program on raised
+coefficient vectors.  Cones are immutable; the coherence verdict is
+computed once and cached.
 """
 
 from __future__ import annotations
@@ -132,6 +139,16 @@ class IncoherentConeError(ValueError):
         self.witness = witness
 
 
+@dataclass(frozen=True)
+class _Decomposition:
+    """A solution of the decomposition program, read back per column and row."""
+
+    weights: tuple[Fraction, ...]
+    shifts: tuple[Fraction, ...]
+    slack: Gamble
+    unbounded: bool
+
+
 def _common_space(
     gambles: Iterable[Gamble], space: Optional[Space]
 ) -> Optional[Space]:
@@ -141,6 +158,60 @@ def _common_space(
         elif g.space != space:
             raise ValueError("all gambles must share one space")
     return space
+
+
+def _decompose(
+    space: Space,
+    nonneg: SequenceABC[Gamble],
+    free: SequenceABC[Gamble] = (),
+    rhs: Optional[Gamble] = None,
+    normalized: bool = False,
+    costs: Optional[SequenceABC[RationalLike]] = None,
+) -> Optional[_Decomposition]:
+    """Solve the decomposition program that every cone query reduces to.
+
+    One row per point w of the space:
+
+        sum_i lambda_i nonneg_i(w) + sum_j u_j free_j(w) <= rhs(w),
+
+    with lambda >= 0, u free and rhs zero when omitted.  When normalized,
+    the lambda sum to one.  With costs, aligned with the nonnegative
+    columns and then the free ones, the program maximizes; without, it
+    asks for feasibility.  Returns None when infeasible.  Otherwise the
+    row slacks, rhs minus the combination, are read back as a gamble:
+    they are the unit-indicator weights that complete the combination to
+    exactly rhs.  A program without columns needs no solver: its only
+    solution is empty.
+    """
+    columns = tuple(nonneg) + tuple(free)
+    bound = rhs.values if rhs is not None else (Fraction(0),) * space.size
+    x: list[Fraction] = []
+    unbounded = False
+    if columns:
+        names = [f"x{c}" for c in range(len(columns))]
+        variables = [
+            (name, "nonneg" if c < len(nonneg) else "free") for c, name in enumerate(names)
+        ]
+        rows = [
+            ({name: g.values[w] for name, g in zip(names, columns) if g.values[w]}, b)
+            for w, b in enumerate(bound)
+        ]
+        normalization = [({name: 1 for name in names[: len(nonneg)]}, 1)] if normalized else []
+        objective = None if costs is None else (dict(zip(names, costs)), "max")
+        outcome = solve(LpProblem(variables, normalization, rows, objective))
+        if not outcome.is_feasible:
+            return None
+        assert outcome.witness is not None
+        x = [outcome.witness[name] for name in names]
+        unbounded = outcome.status == "unbounded"
+    elif normalized or min(bound) < 0:
+        return None
+    slack = list(bound)
+    for weight, g in zip(x, columns):
+        if weight:
+            slack = [s - weight * a for s, a in zip(slack, g.values)]
+    n = len(nonneg)
+    return _Decomposition(tuple(x[:n]), tuple(x[n:]), Gamble(space, tuple(slack)), unbounded)
 
 
 def avoids_nonpositivity(
@@ -164,52 +235,20 @@ def avoids_nonpositivity(
     if space is None:
         return AvoidanceReport(True)
 
+    # The unit indicators are explicit columns, counted in the
+    # normalization: a witness may put all its weight on them, as when
+    # the lineality alone holds a nonnegative nonzero gamble.
     points = space.points()
-    variables = (
-        [(f"g{i}", "nonneg") for i in range(len(assessment))]
-        + [(f"d{i}", "nonneg") for i in range(len(points))]
-        + [(f"u{j}", "free") for j in range(len(lineality))]
-    )
-    inequalities = []
-    for w, _point in enumerate(points):
-        row: dict[str, Fraction] = {f"d{w}": Fraction(1)}
-        for i, g in enumerate(assessment):
-            if g.values[w]:
-                row[f"g{i}"] = g.values[w]
-        for j, v in enumerate(lineality):
-            if v.values[w]:
-                row[f"u{j}"] = v.values[w]
-        inequalities.append((row, Fraction(0)))
-    normalization = {f"g{i}": Fraction(1) for i in range(len(assessment))}
-    normalization.update({f"d{w}": Fraction(1) for w in range(len(points))})
-
-    problem = LpProblem(
-        variables,
-        equalities=[(normalization, Fraction(1))],
-        inequalities=inequalities,
-    )
-    outcome = solve(problem)
-    if not outcome.is_feasible:
+    units = tuple(Gamble.indicator(space, [p]) for p in points)
+    solution = _decompose(space, assessment + units, lineality, normalized=True)
+    if solution is None:
         return AvoidanceReport(True)
-
-    assert outcome.witness is not None
-    gw = tuple(outcome.witness[f"g{i}"] for i in range(len(assessment)))
-    iw = tuple(
-        (points[w], outcome.witness[f"d{w}"])
-        for w in range(len(points))
-        if outcome.witness[f"d{w}"]
+    n = len(assessment)
+    iw = tuple((p, d) for p, d in zip(points, solution.weights[n:]) if d)
+    witness = NonPositivityWitness(
+        solution.weights[:n], iw, solution.shifts, -solution.slack
     )
-    lw = tuple(outcome.witness[f"u{j}"] for j in range(len(lineality)))
-    combination = Gamble.zero(space)
-    for weight, g in zip(gw, assessment):
-        if weight:
-            combination = combination + weight * g
-    for point, weight in iw:
-        combination = combination + weight * Gamble.indicator(space, [point])
-    for weight, v in zip(lw, lineality):
-        if weight:
-            combination = combination + weight * v
-    return AvoidanceReport(False, NonPositivityWitness(gw, iw, lw, combination))
+    return AvoidanceReport(False, witness)
 
 
 class DesirCone:
@@ -283,50 +322,24 @@ def membership_report(cone: DesirCone, f: Gamble) -> MemberReport:
     plus a lineality shift, with the nonnegative part not identically
     zero.  That last requirement is what keeps the lineality space
     itself out of the cone; it is enforced by maximizing the total
-    nonnegative weight and demanding a positive optimum.
+    nonnegative weight and demanding a positive optimum.  The indicator
+    weights are the row slacks, so the total weight is written over the
+    generator and lineality columns, up to the constant sum of f.
     """
     cone.ensure_coherent()
     _check_query_gamble(cone, f)
     if f.is_zero():
         return MemberReport(False)
 
-    generators = cone.generators
-    lineality = cone.lineality
-    points = cone.space.points()
-    variables = (
-        [(f"g{i}", "nonneg") for i in range(len(generators))]
-        + [(f"d{w}", "nonneg") for w in range(len(points))]
-        + [(f"u{j}", "free") for j in range(len(lineality))]
-    )
-    equalities = []
-    for w, _point in enumerate(points):
-        row: dict[str, Fraction] = {f"d{w}": Fraction(1)}
-        for i, g in enumerate(generators):
-            if g.values[w]:
-                row[f"g{i}"] = g.values[w]
-        for j, v in enumerate(lineality):
-            if v.values[w]:
-                row[f"u{j}"] = v.values[w]
-        equalities.append((row, f.values[w]))
-    objective = {f"g{i}": Fraction(1) for i in range(len(generators))}
-    objective.update({f"d{w}": Fraction(1) for w in range(len(points))})
-
-    problem = LpProblem(variables, equalities=equalities, objective=(objective, "max"))
-    outcome = solve(problem)
-    if outcome.status == "infeasible":
+    # A coherent cone keeps this maximum finite: an unbounded direction
+    # would be a nonpositive combination of generators and indicators.
+    costs = [1 - sum(g.values) for g in cone.generators]
+    costs += [-sum(v.values) for v in cone.lineality]
+    solution = _decompose(cone.space, cone.generators, cone.lineality, rhs=f, costs=costs)
+    if solution is None or sum(solution.weights) + sum(solution.slack.values) == 0:
         return MemberReport(False)
-    if outcome.status == "bounded" and outcome.value == 0:
-        return MemberReport(False)
-
-    assert outcome.witness is not None
-    gw = tuple(outcome.witness[f"g{i}"] for i in range(len(generators)))
-    iw = tuple(
-        (points[w], outcome.witness[f"d{w}"])
-        for w in range(len(points))
-        if outcome.witness[f"d{w}"]
-    )
-    lw = tuple(outcome.witness[f"u{j}"] for j in range(len(lineality)))
-    return MemberReport(True, gw, iw, lw)
+    iw = tuple((p, d) for p, d in solution.slack.items() if d)
+    return MemberReport(True, solution.weights, iw, solution.shifts)
 
 
 def natural_extension_member(cone: DesirCone, f: Gamble) -> bool:
@@ -337,41 +350,24 @@ def natural_extension_member(cone: DesirCone, f: Gamble) -> bool:
 def lower_prevision(cone: DesirCone, f: Gamble) -> PrevisionValue:
     """Supremum price mu such that f minus mu stays in the cone.
 
-    Computed as an exact linear program maximizing mu subject to the
-    shifted gamble decomposing over generators, indicators, and
-    lineality.  For a coherent cone the optimum is finite and lies
-    between the minimum and maximum of f; an incoherent cone prices
-    every gamble arbitrarily high, reported as an unbounded marker.
+    Computed as the decomposition program with the constant gamble as
+    one more free column, maximizing its weight mu.  For a coherent cone
+    the optimum is finite and lies between the minimum and maximum of f.
+    An incoherent cone is not rejected.  Under a sure loss, a
+    combination that is strictly negative everywhere, every gamble is
+    priced arbitrarily high, reported as an unbounded marker.  A partial
+    loss, nonpositive but zero somewhere, can leave a finite value.
     """
     _check_query_gamble(cone, f)
-    generators = cone.generators
-    lineality = cone.lineality
-    points = cone.space.points()
-    variables = (
-        [("mu", "free")]
-        + [(f"g{i}", "nonneg") for i in range(len(generators))]
-        + [(f"d{w}", "nonneg") for w in range(len(points))]
-        + [(f"u{j}", "free") for j in range(len(lineality))]
-    )
-    equalities = []
-    for w, _point in enumerate(points):
-        row: dict[str, Fraction] = {"mu": Fraction(1), f"d{w}": Fraction(1)}
-        for i, g in enumerate(generators):
-            if g.values[w]:
-                row[f"g{i}"] = g.values[w]
-        for j, v in enumerate(lineality):
-            if v.values[w]:
-                row[f"u{j}"] = v.values[w]
-        equalities.append((row, f.values[w]))
-
-    problem = LpProblem(variables, equalities=equalities, objective=({"mu": 1}, "max"))
-    outcome = solve(problem)
-    if outcome.status == "unbounded":
-        return PrevisionValue.unbounded_above()
-    if outcome.status != "bounded":
+    space = cone.space
+    shifts = (Gamble.unit(space),) + cone.lineality
+    costs = [0] * len(cone.generators) + [1] + [0] * len(cone.lineality)
+    solution = _decompose(space, cone.generators, shifts, rhs=f, costs=costs)
+    if solution is None:
         raise AssertionError("the prevision program is always feasible")
-    assert outcome.value is not None
-    return PrevisionValue.of(outcome.value)
+    if solution.unbounded:
+        return PrevisionValue.unbounded_above()
+    return PrevisionValue.of(solution.shifts[0])
 
 
 def upper_prevision(cone: DesirCone, f: Gamble) -> PrevisionValue:

@@ -25,6 +25,22 @@ Counts = tuple[int, ...]
 Point = Union[Sequence, Counts]
 RationalLike = Union[int, Fraction]
 
+MAX_VALUES = 2**20
+"""Most values one enumeration may materialize: the points of a space, or
+the entries of the symmetrization kernel basis.  Larger inputs are
+refused up front instead of exhausting memory."""
+
+
+class SpaceTooLargeError(ValueError):
+    """Raised before materializing more than MAX_VALUES values."""
+
+
+def _check_budget(values: int, what: str) -> None:
+    if values > MAX_VALUES:
+        raise SpaceTooLargeError(
+            f"{what} would take {values} values, over the budget of {MAX_VALUES}"
+        )
+
 
 def _as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, Fraction):
@@ -121,6 +137,10 @@ Space = Union[SequenceSpace, CountSpace]
 
 @lru_cache(maxsize=None)
 def _sequence_points(space: SequenceSpace) -> tuple[Sequence, ...]:
+    _check_budget(
+        space.size,
+        f"the length-{space.length} sequences over {len(space.categories)} categories",
+    )
     return tuple(itertools.product(space.categories, repeat=space.length))
 
 
@@ -135,6 +155,10 @@ def count_compositions(total: int, parts: int) -> tuple[Counts, ...]:
         raise ValueError("need at least one part")
     if total < 0:
         raise ValueError("total must be nonnegative")
+    _check_budget(
+        math.comb(total + parts - 1, parts - 1),
+        f"the splits of {total} over {parts} parts",
+    )
 
     def gen(remaining: int, slots: int) -> Iterator[Counts]:
         if slots == 1:
@@ -470,6 +494,11 @@ def kernel_basis(space: SequenceSpace) -> list[Gamble]:
     symmetrization projection; its size is the number of sequences minus
     the number of count vectors.
     """
+    _check_budget(
+        space.size * (space.size - space.count_space().size),
+        f"the kernel basis of length-{space.length} sequences "
+        f"over {len(space.categories)} categories",
+    )
     basis: list[Gamble] = []
     points = space.points()
     for ixs in _atom_slices(space).values():

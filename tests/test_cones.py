@@ -17,8 +17,21 @@ from desir.cones import (
     updated_member,
     upper_prevision,
 )
-from desir.bernstein import FrequencyVector, multinomial_lpr
-from desir.gambles import Gamble, SequenceSpace, count_representation, kernel_basis
+from desir.bernstein import (
+    BernsteinCone,
+    FrequencyVector,
+    bernstein_natex_member,
+    from_count_gamble,
+    multinomial_lpr,
+)
+from desir.gambles import (
+    CountSpace,
+    Gamble,
+    SequenceSpace,
+    count_representation,
+    kernel_basis,
+)
+from oracles import enumerate_lp_optimum
 
 F = Fraction
 BW = ("b", "w")
@@ -348,3 +361,112 @@ class TestMaximality:
         f = seq_gamble(SPACE2, 1, -1, 0, 0)
         assert not natural_extension_member(cone, f)
         assert not natural_extension_member(cone, -f)
+
+
+def credal_lower_prevision(cone, f):
+    """min P.f over the linear previsions P >= 0, sum P = 1, P.g >= 0, P.v = 0.
+
+    The dual of the lower-prevision program, solved by basic-solution
+    enumeration: one column per point and one surplus column per
+    generator.  Its feasible region is bounded, as the oracle needs.
+    """
+    n = len(cone.generators)
+    columns = [
+        [F(1)] + [g.values[w] for g in cone.generators] + [v.values[w] for v in cone.lineality]
+        for w in range(cone.space.size)
+    ]
+    columns += [[F(0)] + [F(-(i == j)) for j in range(n)] + [F(0)] * len(cone.lineality)
+                for i in range(n)]
+    rhs = [F(1)] + [F(0)] * (n + len(cone.lineality))
+    objective = [-a for a in f.values] + [F(0)] * n
+    status, best = enumerate_lp_optimum(columns, rhs, objective)
+    assert status == "optimal"
+    return -best
+
+
+def weighted_sum(space, weights, gambles):
+    total = Gamble.zero(space)
+    for lam, g in zip(weights, gambles):
+        total = total + lam * g
+    return total
+
+
+class TestRandomCountCones:
+    """Seeded random count cones, k in {2, 3}, at most 6 points.
+
+    The seed fixes the shape: k alternates every four seeds, the number
+    of generators cycles through 0-3, and odd seeds add one lineality
+    vector.  Every certificate is recomputed exactly and every lower
+    prevision of a coherent cone is compared with the dual oracle.
+    """
+
+    @staticmethod
+    def instance(seed):
+        rng = random.Random(1000 + seed)
+        k = 2 + (seed // 4) % 2
+        space = CountSpace(("a", "b", "c")[:k], rng.randint(1, 5 if k == 2 else 2))
+        generators = [random_gamble(rng, space) for _ in range(seed % 4)]
+        lineality = [random_gamble(rng, space)] if seed % 2 else []
+        return rng, DesirCone(space, generators, lineality)
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_certificates_and_previsions(self, seed):
+        rng, cone = self.instance(seed)
+        space = cone.space
+        report = avoids_nonpositivity(cone.generators, cone.lineality, space)
+        assert report.avoids == cone.is_coherent
+        if not report.avoids:
+            verify_witness(report.witness, cone.generators, cone.lineality)
+            with pytest.raises(IncoherentConeError):
+                membership_report(cone, Gamble.unit(space))
+            return
+        queries = [random_gamble(rng, space) for _ in range(4)]
+        queries += [g + v for g in cone.generators for v in cone.lineality]
+        for f in queries + list(cone.generators):
+            lower = lower_prevision(cone, f)
+            assert lower == PrevisionValue.of(credal_lower_prevision(cone, f))
+            assert f.min_value() <= lower.value <= -lower_prevision(cone, -f).value
+            member = membership_report(cone, f)
+            if lower.value > 0:
+                assert member.member
+            if lower.value < 0 or f.is_zero():
+                assert not member.member
+            if f in cone.generators:
+                assert member.member
+            if not member.member:
+                continue
+            assert all(lam >= 0 for lam in member.generator_weights)
+            assert all(d > 0 for _, d in member.indicator_weights)
+            assert any(member.generator_weights) or member.indicator_weights
+            total = weighted_sum(space, member.generator_weights, cone.generators)
+            total = total + weighted_sum(space, member.lineality_weights, cone.lineality)
+            for point, d in member.indicator_weights:
+                total = total + d * Gamble.indicator(space, [point])
+            assert total == f
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_bernstein_certificates(self, seed):
+        rng, cone = self.instance(seed)
+        polys = [from_count_gamble(g) for g in cone.generators]
+        degree = cone.space.total
+        bcone = BernsteinCone(cone.space.categories, polys, cap=degree + 3)
+        verdict = bcone.avoidance()
+        if verdict.status == "violated":
+            raised = [p.raised(verdict.degree) for p in polys]
+            assert all(lam >= 0 for lam in verdict.weights)
+            assert sum(verdict.weights) == 1
+            assert weighted_sum(verdict.combination.space, verdict.weights, raised) == (
+                verdict.combination
+            )
+            assert verdict.combination.is_nonpositive()
+            return
+        for _ in range(3):
+            q = from_count_gamble(random_gamble(rng, cone.space))
+            answer = bernstein_natex_member(bcone, q)
+            if not answer.member:
+                continue
+            raised = [p.raised(answer.degree) for p in polys]
+            assert all(lam >= 0 for lam in answer.weights)
+            assert answer.residual.is_nonnegative()
+            combination = weighted_sum(answer.residual.space, answer.weights, raised)
+            assert combination + answer.residual == q.raised(answer.degree)

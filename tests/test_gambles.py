@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 
 from desir.gambles import (
+    MAX_VALUES,
     CountSpace,
     Gamble,
     Permutation,
     SequenceSpace,
+    SpaceTooLargeError,
     atom_members,
     atom_size,
     count_compositions,
@@ -65,6 +67,16 @@ class TestSpaces:
             CountSpace(BW, -1)
         with pytest.raises(ValueError):
             SequenceSpace(("b", "b"), 2)
+
+    def test_enumeration_over_the_budget_is_refused(self):
+        big = SequenceSpace(("a", "b", "c"), 20)
+        assert big.size > MAX_VALUES
+        with pytest.raises(SpaceTooLargeError):
+            big.points()
+        with pytest.raises(SpaceTooLargeError):
+            Gamble.indicator(big, [])
+        with pytest.raises(SpaceTooLargeError):
+            CountSpace(("a", "b", "c", "d"), 2000).points()
 
 
 class TestGambleAlgebra:
@@ -231,3 +243,11 @@ class TestKernelBasis:
             points = len(list(space.points()))
             counts = len(list(CountSpace(categories, n).points()))
             assert len(kernel_basis(space)) == points - counts
+
+    def test_basis_over_the_budget_is_refused(self):
+        # 2^11 sequences enumerate within budget, but the basis would hold
+        # 2^11 values for each of its 2^11 - 12 gambles.
+        space = SequenceSpace(BW, 11)
+        assert space.size <= MAX_VALUES
+        with pytest.raises(SpaceTooLargeError):
+            kernel_basis(space)

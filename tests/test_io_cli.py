@@ -334,6 +334,21 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert "error:" in err
 
+    @pytest.mark.parametrize("model, command", [
+        ({"space": {"categories": ["a", "b", "c"], "length": 20}, "generators": []},
+         ["check"]),
+        ({"space": {"categories": ["b", "w"], "length": 2},
+          "generators": [{"values": {"bb": "1", "bw": "-1", "wb": "-1", "ww": "1"}}]},
+         ["extend-finite", "--extra", "22"]),
+    ])
+    def test_spaces_over_the_size_budget_exit_one(self, tmp_path, capsys, model, command):
+        a = write(tmp_path, "a.json", model)
+        assert main([command[0], a, *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "budget" in lines[0]
+
     def test_incoherent_member_query_exits_two(self, tmp_path, capsys):
         bad = {
             "space": {"categories": ["b", "w"], "length": 2},
