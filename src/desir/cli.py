@@ -5,6 +5,10 @@ as exact decimal-free rationals; the --decimal flag appends a clearly
 marked float approximation to non-integer values, and --quiet keeps
 verdict lines but drops certificate detail.
 
+A subcommand runs as a script of one query, through the same parser and
+loop.  An exchangeable model answers on count vectors and prints its
+certificates on sequences.
+
 Exit codes: 0 for a completed report, 2 when the model at hand is
 incoherent (a failed coherence check, or a query that requires
 coherence the model lacks), 1 for I/O or schema problems.
@@ -13,33 +17,25 @@ coherence the model lacks), 1 for I/O or schema problems.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional, Union
 
 from . import bernstein as bn
 from . import exchangeability as ex
 from .cones import (
     DesirCone,
     IncoherentConeError,
-    MemberReport,
-    NonPositivityWitness,
     PrevisionValue,
     lower_prevision,
     membership_report,
     upper_prevision,
 )
-from .gambles import (
-    CountSpace,
-    Gamble,
-    SequenceSpace,
-    count_representation,
-    count_vector,
-    kernel_basis,
-)
+from .gambles import Gamble, SequenceSpace, count_representation, count_vector
 from .io import (
     AssessmentSpec,
     Query,
@@ -47,11 +43,7 @@ from .io import (
     format_rational,
     load_json,
     parse_assessment,
-    parse_counts,
-    parse_frequency,
-    parse_gamble,
-    parse_polynomial,
-    parse_sample,
+    parse_query,
     parse_script,
     point_key,
 )
@@ -107,77 +99,50 @@ def _theta_text(theta: bn.FrequencyVector) -> str:
     return ",".join(format_rational(v) for v in theta.values)
 
 
-def _witness_lines(witness: NonPositivityWitness, opts: _Options) -> list[str]:
-    lines = [f"witness combination: {_gamble_inline(witness.combination, opts)}"]
-    if witness.generator_weights:
+def _weight_lines(certificate, space, opts: _Options) -> list[str]:
+    """The weights of an avoidance witness or a membership decomposition."""
+    lines = []
+    if certificate.generator_weights:
         lines.append(
-            "  generator weights: "
-            + _weights_inline("g", witness.generator_weights, opts)
+            "  generator weights: " + _weights_inline("g", certificate.generator_weights, opts)
         )
-    if witness.indicator_weights:
-        space = witness.combination.space
-        lines.append(
-            "  indicator weights: "
-            + " ".join(
-                f"{point_key(space, p)}={_rat(w, opts)}"
-                for p, w in witness.indicator_weights
-            )
-        )
-    if witness.lineality_weights and any(witness.lineality_weights):
-        lines.append(
-            "  lineality weights: "
-            + _weights_inline("u", witness.lineality_weights, opts)
-        )
-    return lines
-
-
-def _decomposition_lines(space, report: MemberReport, opts: _Options) -> list[str]:
-    lines = ["decomposition:"]
-    if report.generator_weights:
-        lines.append(
-            "  generator weights: " + _weights_inline("g", report.generator_weights, opts)
-        )
-    if report.indicator_weights:
+    if certificate.indicator_weights:
         lines.append(
             "  indicator weights: "
             + " ".join(
                 f"{point_key(space, p)}={_rat(w, opts)}"
-                for p, w in report.indicator_weights
+                for p, w in certificate.indicator_weights
             )
         )
-    if report.lineality_weights and any(report.lineality_weights):
+    if any(certificate.lineality_weights):
         lines.append(
-            "  lineality weights: " + _weights_inline("u", report.lineality_weights, opts)
+            "  lineality weights: " + _weights_inline("u", certificate.lineality_weights, opts)
         )
     return lines
 
 
-def _resolved_lineality(spec: AssessmentSpec) -> tuple[tuple[Gamble, ...], bool]:
-    """The lineality gambles plus whether they came from the exchangeable mode."""
-    if spec.lineality == "exchangeable":
-        space = spec.space
-        assert isinstance(space, SequenceSpace)
-        return tuple(kernel_basis(space)), True
-    assert not isinstance(spec.lineality, str)
-    return spec.lineality, False
+def _witness_lines(witness, opts: _Options) -> list[str]:
+    return [f"witness combination: {_gamble_inline(witness.combination, opts)}",
+            *_weight_lines(witness, witness.combination.space, opts)]
 
 
-def _build_cone(spec: AssessmentSpec) -> tuple[DesirCone, bool]:
-    lineality, exchangeable = _resolved_lineality(spec)
-    return DesirCone(spec.space, spec.generators, lineality), exchangeable
+def _execute(
+    spec: Optional[AssessmentSpec],
+    model: Callable[[bool], Union[DesirCone, ex.ExchangeableModel]],
+    query: Query,
+    opts: _Options,
+) -> tuple[list[str], bool]:
+    """Run one query; returns the report lines and an incoherence flag.
 
-
-def _sequence_spec(spec: AssessmentSpec, op: str) -> SequenceSpace:
-    if not isinstance(spec.space, SequenceSpace):
-        raise SchemaError(op, "this operation needs a sequence-space model")
-    return spec.space
-
-
-def _execute(spec: Optional[AssessmentSpec], query: Query, opts: _Options) -> tuple[list[str], bool]:
-    """Run one query; returns the report lines and an incoherence flag."""
-    if query.op == "check":
+    model(True) is the exchangeable model of the spec's generators, and
+    model(False) the cone with the spec's explicit lineality.
+    """
+    if query.op in ("check", "member", "lpr"):
         assert spec is not None
-        cone, exchangeable = _build_cone(spec)
+        exchangeable = spec.lineality == "exchangeable"
+        cone = model(exchangeable)
+
+    if query.op == "check":
         report = cone.avoidance()
         label = "avoids non-positivity under exchangeability" if exchangeable else "avoids non-positivity"
         lines = [f"{label}: {'true' if report.avoids else 'false'}"]
@@ -187,18 +152,18 @@ def _execute(spec: Optional[AssessmentSpec], query: Query, opts: _Options) -> tu
         return lines, not report.avoids
 
     if query.op == "member":
-        assert spec is not None
-        cone, _ = _build_cone(spec)
-        report = membership_report(cone, query.params["gamble"])
+        f = query.params["gamble"]
+        report = cone.membership_report(f) if exchangeable else membership_report(cone, f)
         lines = [f"member: {'yes' if report.member else 'no'}"]
         if report.member and not opts.quiet:
-            lines.extend(_decomposition_lines(cone.space, report, opts))
+            lines.append("decomposition:")
+            lines.extend(_weight_lines(report, cone.space, opts))
         return lines, False
 
     if query.op == "lpr":
-        assert spec is not None
-        cone, _ = _build_cone(spec)
         f = query.params["gamble"]
+        if exchangeable:
+            cone, f = cone.count_cone, count_representation(f)
         lower = lower_prevision(cone, f)
         lines = [
             f"lower prevision: {_prevision_text(lower, opts)}",
@@ -207,39 +172,37 @@ def _execute(spec: Optional[AssessmentSpec], query: Query, opts: _Options) -> tu
         return lines, lower.kind == "unbounded_above"
 
     if query.op == "update":
-        assert spec is not None
-        space = _sequence_spec(spec, "update")
-        model = ex.exchangeable_extension(space, spec.generators)
+        exchangeable_model = model(True)
+        categories = exchangeable_model.categories
         lines = []
         if "counts" in query.params:
             observed = query.params["counts"]
             g = query.params["gamble"]
             lines.append("observed counts: " + ",".join(str(c) for c in observed))
             transformed = ex.update_count_gamble(g, observed)
-            verdict = ex.updated_member(model, observed, g)
+            verdict = ex.updated_member(exchangeable_model, observed, g)
         else:
             prefix = query.params["sample"]
             f = query.params["gamble"]
-            observed = count_vector(prefix, space.categories)
+            observed = count_vector(prefix, categories)
             lines.append(
                 "observed sample: "
-                + point_key(SequenceSpace(space.categories, len(prefix)), prefix)
+                + point_key(SequenceSpace(categories, len(prefix)), prefix)
                 + " (counts " + ",".join(str(c) for c in observed) + ")"
             )
             transformed = ex.update_count_gamble(count_representation(f), observed)
-            verdict = ex.updated_sample_member(model, prefix, f)
+            verdict = ex.updated_sample_member(exchangeable_model, prefix, f)
         lines.append(f"updated member: {'yes' if verdict else 'no'}")
         if not opts.quiet:
             lines.append(f"transformed count gamble: {_gamble_inline(transformed, opts)}")
         return lines, False
 
     if query.op == "extend-finite":
-        assert spec is not None
-        space = _sequence_spec(spec, "extend-finite")
+        assert spec is not None and isinstance(spec.space, SequenceSpace)
         extra = query.params["extra"]
-        decision = ex.extend_finite(space, spec.generators, extra)
+        decision = ex.extend_finite(spec.space, spec.generators, extra)
         if decision.extendable:
-            lines = ["extendable: yes", f"extended length: {space.length + extra}"]
+            lines = ["extendable: yes", f"extended length: {spec.space.length + extra}"]
             return lines, False
         lines = ["extendable: no"]
         if not opts.quiet:
@@ -249,10 +212,9 @@ def _execute(spec: Optional[AssessmentSpec], query: Query, opts: _Options) -> tu
         return lines, False
 
     if query.op == "extend-infinite":
-        assert spec is not None
-        space = _sequence_spec(spec, "extend-infinite")
+        assert spec is not None and isinstance(spec.space, SequenceSpace)
         cap = query.params.get("cap", opts.cap)
-        decision = bn.extend_infinite(space, spec.generators, cap)
+        decision = bn.extend_infinite(spec.space, spec.generators, cap)
         verdict = decision.verdict
         assert verdict is not None
         if decision.status == "extendable":
@@ -271,10 +233,8 @@ def _execute(spec: Optional[AssessmentSpec], query: Query, opts: _Options) -> tu
             return lines, False
         return ["extendable: undecided", f"searched up to degree: {cap}"], False
 
-    if query.op == "bernstein":
-        return _execute_bernstein(query, opts), False
-
-    raise SchemaError("op", f"unknown operation {query.op!r}")
+    assert query.op == "bernstein"
+    return _execute_bernstein(query, opts), False
 
 
 def _expansion_lines(label: str, verdict: bn.ExpansionVerdict, opts: _Options) -> list[str]:
@@ -365,7 +325,7 @@ def _parser() -> argparse.ArgumentParser:
         if needs_gamble:
             p.add_argument("gamble", help="path to the gamble file")
         p.add_argument("--exchangeable", action="store_true",
-                       help="use the symmetrization kernel as lineality")
+                       help="decide on count vectors, print sequence certificates")
 
     upd = sub.add_parser("update", parents=[common])
     upd.add_argument("assessment")
@@ -392,66 +352,38 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_query(args: argparse.Namespace) -> tuple[Optional[AssessmentSpec], Query]:
-    if args.command == "check":
-        spec = _load_assessment_arg(args.assessment, args.exchangeable)
-        return spec, Query("check", {})
-    if args.command in ("member", "lpr"):
-        spec = _load_assessment_arg(args.assessment, args.exchangeable)
-        gamble = parse_gamble(load_json(args.gamble), "gamble", spec.space)
-        return spec, Query(args.command, {"gamble": gamble})
-    if args.command == "update":
-        spec = _load_assessment_arg(args.assessment, False)
-        space = spec.space
-        if not isinstance(space, SequenceSpace):
-            raise SchemaError("update", "this operation needs a sequence-space model")
-        raw = load_json(args.gamble)
-        if args.counts is not None:
-            observed = parse_counts(args.counts, "--counts", space.categories)
-            remaining = space.length - sum(observed)
-            if remaining < 0:
-                raise SchemaError("--counts", "more observations than variables")
-            gamble = parse_gamble(raw, "gamble", CountSpace(space.categories, remaining))
-            return spec, Query("update", {"counts": observed, "gamble": gamble})
-        prefix = parse_sample(args.sample, "--sample", space.categories)
-        remaining = space.length - len(prefix)
-        if remaining < 1:
-            raise SchemaError("--sample", "the sample leaves no variables")
-        gamble = parse_gamble(raw, "gamble", SequenceSpace(space.categories, remaining))
-        return spec, Query("update", {"sample": prefix, "gamble": gamble})
-    if args.command == "extend-finite":
-        spec = _load_assessment_arg(args.assessment, False)
-        if args.extra < 0:
-            raise SchemaError("--extra", "expected a nonnegative integer")
-        return spec, Query("extend-finite", {"extra": args.extra})
-    if args.command == "extend-infinite":
-        spec = _load_assessment_arg(args.assessment, False)
-        return spec, Query("extend-infinite", {})
-    assert args.command == "bernstein"
-    polynomial = parse_polynomial(load_json(args.polynomial), "polynomial")
-    params: dict = {"action": args.action, "polynomial": polynomial}
-    if args.action in ("raise", "range"):
-        if args.to is None or args.to < polynomial.degree:
-            raise SchemaError("--to", "expected an integer at least the polynomial's degree")
-        params["to"] = args.to
-    if args.action == "eval":
-        if args.at is None:
-            raise SchemaError("--at", "'eval' needs a frequency vector")
-        params["at"] = parse_frequency(args.at, polynomial.categories, "--at")
-    return None, Query("bernstein", params)
+_NOT_OPERANDS = frozenset(("command", "assessment", "exchangeable", "cap", "decimal", "quiet"))
 
 
-def _run_script(args: argparse.Namespace, opts: _Options) -> tuple[list[str], int]:
-    path = Path(args.script)
-    script = parse_script(load_json(path), path.parent)
-    if script.cap is not None:
-        opts = _Options(opts.decimal, opts.quiet, script.cap)
+def _build_query(args: argparse.Namespace) -> dict:
+    """The script query document that a subcommand's arguments stand for."""
+    operands = {k: v for k, v in vars(args).items() if k not in _NOT_OPERANDS and v is not None}
+    return {"op": args.command, **operands}
+
+
+def _run(
+    spec: Optional[AssessmentSpec], queries: tuple[Query, ...], opts: _Options, numbered: bool
+) -> tuple[list[str], int]:
+    """Run the queries in order on one model; returns the report and the exit code.
+
+    The model is built on first use and kept for the run.  The first
+    query that needs coherence the model lacks ends the run.
+    """
+
+    @functools.cache
+    def model(exchangeable: bool) -> Union[DesirCone, ex.ExchangeableModel]:
+        assert spec is not None
+        if exchangeable:
+            return ex.ExchangeableModel(spec.space, spec.generators)  # type: ignore[arg-type]
+        return DesirCone(spec.space, spec.generators, spec.lineality)  # type: ignore[arg-type]
+
     lines: list[str] = []
     exit_code = 0
-    for i, query in enumerate(script.queries, start=1):
-        lines.append(f"[{i}] {query.op}")
+    for i, query in enumerate(queries, start=1):
+        if numbered:
+            lines.append(f"[{i}] {query.op}")
         try:
-            body, incoherent = _execute(script.spec, query, opts)
+            body, incoherent = _execute(spec, model, query, opts)
         except IncoherentConeError as exc:
             lines.append("error: incoherent model")
             if exc.witness is not None and not opts.quiet:
@@ -468,20 +400,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         opts = _Options(args.decimal, args.quiet, _effective_cap(args.cap))
         if args.command == "run":
-            lines, code = _run_script(args, opts)
+            path = Path(args.script)
+            script = parse_script(load_json(path), path.parent)
+            spec, queries = script.spec, script.queries
+            if script.cap is not None:
+                opts = _Options(opts.decimal, opts.quiet, script.cap)
         else:
-            spec, query = _build_query(args)
-            try:
-                lines, incoherent = _execute(spec, query, opts)
-                code = 2 if incoherent else 0
-            except IncoherentConeError as exc:
-                lines = ["error: incoherent model"]
-                if exc.witness is not None and not opts.quiet:
-                    lines.extend(_witness_lines(exc.witness, opts))
-                code = 2
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+            spec = None
+            if args.command != "bernstein":
+                spec = _load_assessment_arg(args.assessment, getattr(args, "exchangeable", False))
+            queries = (parse_query(_build_query(args), args.command, spec, Path()),)
+        lines, code = _run(spec, queries, opts, numbered=args.command == "run")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -4,10 +4,12 @@ An exchangeable subject judges permuted gambles equivalent, so their
 cone of desirable gambles is closed under adding any gamble that
 symmetrizes to zero.  Everything such a cone says is already determined
 by its image under the atom-averaging map: a cone of gambles on count
-vectors.  This module keeps both views.  The sequence view carries the
-symmetrization kernel as lineality and exists for cross-validation and
-sample-level conditioning; the count view is authoritative for queries
-because its space is much smaller.
+vectors.  So every query on a model, coherence, membership and
+previsions alike, is decided on the count cone, whose space is much
+smaller.  Certificates are lifted back to sequences: each count
+indicator weight lands on one sequence of its atom, and what is left is
+a shift along the symmetrization kernel.  The sequence cone, with that
+kernel as lineality, is kept as the cross-check for those answers.
 
 Updating after observing a sample reduces to a one-shot transform of
 count gambles built from sampling-without-replacement likelihoods, and
@@ -25,8 +27,10 @@ from .cones import (
     AvoidanceReport,
     DesirCone,
     IncoherentConeError,
+    MemberReport,
     NonPositivityWitness,
     avoids_nonpositivity,
+    membership_report,
     natural_extension_member,
 )
 from .gambles import (
@@ -35,12 +39,14 @@ from .gambles import (
     Gamble,
     Sequence,
     SequenceSpace,
+    atom_members,
     atom_size,
     count_compositions,
     count_representation,
     count_vector,
     cylindrical_extend,
     kernel_basis,
+    kernel_coordinates,
     lift_count_gamble,
 )
 
@@ -52,7 +58,6 @@ __all__ = [
     "exchangeable_extension",
     "extend_finite",
     "likelihood_weights",
-    "member",
     "sample_conditioned_gamble",
     "update_count_gamble",
     "updated_member",
@@ -63,17 +68,23 @@ __all__ = [
 class ExchangeableModel:
     """Both views of one exchangeable natural extension.
 
-    The sequence cone has the original assessment as generators and the
+    The sequence cone has the assessment as generators and the
     symmetrization kernel as lineality; the count cone has the atom
     averages of the assessment as generators and no lineality.  The two
-    record the same set of desirable gambles.
+    record the same set of desirable gambles, so queries are answered on
+    the count cone: the lower prevision of f, for one, is that of the
+    count cone at count_representation(f).  Building a model does not
+    check its coherence.
     """
 
     __slots__ = ("_sequence_cone", "_count_cone")
 
-    def __init__(self, sequence_cone: DesirCone, count_cone: DesirCone) -> None:
-        self._sequence_cone = sequence_cone
-        self._count_cone = count_cone
+    def __init__(self, space: SequenceSpace, assessment: SequenceABC[Gamble]) -> None:
+        assessment = tuple(assessment)
+        self._sequence_cone = DesirCone(space, assessment, kernel_basis(space))
+        self._count_cone = DesirCone(
+            space.count_space(), tuple(count_representation(f) for f in assessment)
+        )
 
     @property
     def sequence_cone(self) -> DesirCone:
@@ -103,8 +114,58 @@ class ExchangeableModel:
     def length(self) -> int:
         return self.space.length
 
+    def avoidance(self) -> AvoidanceReport:
+        """Coherence, decided on the count cone, with a witness on sequences."""
+        report = self._count_cone.avoidance()
+        if report.avoids:
+            return report
+        w = report.witness
+        assert w is not None
+        # Lifting multiplies each indicator weight by its atom size, so
+        # the weights are normalized again.
+        total = sum(w.generator_weights) + sum(d * atom_size(m) for m, d in w.indicator_weights)
+        scale = 1 / total
+        weights = tuple(scale * x for x in w.generator_weights)
+        combination = scale * lift_count_gamble(w.combination)
+        count_indicators = [(m, scale * d) for m, d in w.indicator_weights]
+        indicators, shift = self._lift(weights, count_indicators, combination)
+        return AvoidanceReport(False, NonPositivityWitness(weights, indicators, shift, combination))
+
+    def ensure_coherent(self) -> None:
+        report = self.avoidance()
+        if not report.avoids:
+            raise IncoherentConeError(report.witness)
+
+    def membership_report(self, f: Gamble) -> MemberReport:
+        """Membership of a sequence gamble, with a decomposition on sequences."""
+        if f.space != self.space:
+            raise ValueError("the queried gamble lives on a different space")
+        self.ensure_coherent()
+        report = membership_report(self._count_cone, count_representation(f))
+        if not report.member:
+            return report
+        indicators, shift = self._lift(report.generator_weights, report.indicator_weights, f)
+        return MemberReport(True, report.generator_weights, indicators, shift)
+
     def member(self, f: Gamble) -> bool:
-        return member(self, f)
+        return self.membership_report(f).member
+
+    def _lift(self, weights, count_indicators, target: Gamble) -> tuple[tuple, tuple]:
+        """Sequence indicator weights and kernel shift lifting a count certificate.
+
+        Each count indicator weight goes on the first sequence of its atom,
+        times the atom size, so that the atom averages agree.
+        """
+        space = self.space
+        indicators = tuple(
+            (atom_members(space, m)[0], d * atom_size(m)) for m, d in count_indicators
+        )
+        values = list(target.values)
+        for w, g in zip(weights, self._sequence_cone.generators):
+            values = [v - w * a for v, a in zip(values, g.values)]
+        for x, d in indicators:
+            values[space.index(x)] -= d
+        return indicators, kernel_coordinates(Gamble(space, tuple(values)))
 
     def __repr__(self) -> str:
         return (
@@ -119,29 +180,13 @@ def exchangeable_extension(
     """Smallest coherent exchangeable model accepting the assessment.
 
     The assessment must avoid non-positivity once the symmetrization
-    kernel is available as lineality; otherwise the extension would
-    contain every gamble, and the failure is raised with its witness.
+    kernel is available as lineality, which the count cone decides;
+    otherwise the extension would contain every gamble, and the failure
+    is raised with its witness.
     """
-    assessment = tuple(assessment)
-    for f in assessment:
-        if f.space != space:
-            raise ValueError("assessment gambles must live on the given space")
-    kernel = tuple(kernel_basis(space))
-    report = avoids_nonpositivity(assessment, kernel, space)
-    if not report.avoids:
-        raise IncoherentConeError(report.witness)
-    sequence_cone = DesirCone(space, assessment, kernel)
-    count_cone = DesirCone(
-        space.count_space(), tuple(count_representation(f) for f in assessment)
-    )
-    return ExchangeableModel(sequence_cone, count_cone)
-
-
-def member(model: ExchangeableModel, f: Gamble) -> bool:
-    """Sequence-gamble membership, decided on the count side."""
-    if f.space != model.space:
-        raise ValueError("the queried gamble lives on a different space")
-    return natural_extension_member(model.count_cone, count_representation(f))
+    model = ExchangeableModel(space, assessment)
+    model.ensure_coherent()
+    return model
 
 
 @dataclass(frozen=True)
@@ -215,6 +260,7 @@ def updated_member(model: ExchangeableModel, observed: Counts, g: Gamble) -> boo
         raise ValueError("alphabets do not match")
     if sum(observed) + space.total != model.length:
         raise ValueError("observed plus remaining must exhaust the model length")
+    model.ensure_coherent()
     return natural_extension_member(model.count_cone, update_count_gamble(g, observed))
 
 
@@ -316,7 +362,8 @@ def extend_finite(
     The answer is decided entirely on the count side: raise every atom
     average to the larger total and check avoidance there.  Success
     builds the extended model from the cylindrically extended
-    assessment, whose atom averages are exactly the raised gambles.
+    assessment, whose atom averages are exactly the raised gambles, so
+    its coherence needs no second check.
     """
     assessment = tuple(assessment)
     for f in assessment:
@@ -334,5 +381,5 @@ def extend_finite(
         loss = lift_count_gamble(report.witness.combination)
         return ExtensionDecision(False, witness=report.witness, sequence_loss=loss)
     extended = tuple(cylindrical_extend(f, total) for f in assessment)
-    model = exchangeable_extension(SequenceSpace(space.categories, total), extended)
+    model = ExchangeableModel(SequenceSpace(space.categories, total), extended)
     return ExtensionDecision(True, model=model)

@@ -507,3 +507,21 @@ def kernel_basis(space: SequenceSpace) -> list[Gamble]:
             delta = Gamble.indicator(space, [points[i]]) - Gamble.indicator(space, [rep])
             basis.append(delta)
     return basis
+
+
+def kernel_coordinates(f: Gamble) -> tuple[Fraction, ...]:
+    """Coordinates, in kernel_basis order, of a gamble that symmetrizes to zero.
+
+    Such a gamble sums to zero on every atom, so its coordinate on the
+    basis gamble of a non-representative member is its value there.
+    Raises ValueError when the gamble does not symmetrize to zero.
+    """
+    space = f.space
+    if not isinstance(space, SequenceSpace):
+        raise TypeError("kernel coordinates need a sequence gamble")
+    coordinates: list[Fraction] = []
+    for ixs in _atom_slices(space).values():
+        if sum(f.values[i] for i in ixs) != 0:
+            raise ValueError("the gamble does not symmetrize to zero")
+        coordinates.extend(f.values[i] for i in ixs[1:])
+    return tuple(coordinates)

@@ -44,6 +44,7 @@ __all__ = [
     "parse_frequency",
     "parse_gamble",
     "parse_polynomial",
+    "parse_query",
     "parse_rational",
     "parse_script",
     "parse_space",
@@ -437,18 +438,28 @@ def parse_script(obj: Any, base_dir: Union[str, Path]) -> QueryScript:
     if not isinstance(raw_queries, list) or not raw_queries:
         raise SchemaError("script.queries", "expected a non-empty list of queries")
     queries = tuple(
-        _parse_query(item, i, spec, base) for i, item in enumerate(raw_queries)
+        parse_query(item, f"script.queries[{i}]", spec, base)
+        for i, item in enumerate(raw_queries)
     )
     return QueryScript(spec, cap, queries)
 
 
-def _parse_query(obj: Any, index: int, spec: AssessmentSpec, base: Path) -> Query:
-    field = f"script.queries[{index}]"
+def parse_query(obj: Any, field: str, spec: Optional[AssessmentSpec], base: Path) -> Query:
+    """Read one query on a model; string operands are paths under base.
+
+    Only 'bernstein' queries, which need no model, may go without a spec.
+    """
     body = _require_dict(obj, field)
     op = body.get("op")
     if op not in _QUERY_OPS:
         raise SchemaError(f"{field}.op", f"unknown operation {op!r}")
-    space = spec.space
+    space = spec.space if spec is not None else None
+    if op in ("update", "extend-finite", "extend-infinite"):
+        if not isinstance(space, SequenceSpace):
+            raise SchemaError(field, f"'{op}' needs a sequence-space model")
+        # These operations read the generators as exchangeable ones only.
+        if spec.lineality and spec.lineality != "exchangeable":  # type: ignore[union-attr]
+            raise SchemaError(field, f"'{op}' needs 'exchangeable' or no lineality")
     params: dict[str, Any] = {}
 
     if op == "check":
@@ -459,8 +470,6 @@ def _parse_query(obj: Any, index: int, spec: AssessmentSpec, base: Path) -> Quer
         loaded = _maybe_load(body["gamble"], base, f"{field}.gamble")
         params["gamble"] = parse_gamble(loaded, f"{field}.gamble", space)
     elif op == "update":
-        if not isinstance(space, SequenceSpace):
-            raise SchemaError(f"{field}", "'update' needs a sequence-space model")
         has_counts = "counts" in body
         has_sample = "sample" in body
         if has_counts == has_sample:
@@ -487,15 +496,11 @@ def _parse_query(obj: Any, index: int, spec: AssessmentSpec, base: Path) -> Quer
                 loaded, f"{field}.gamble", SequenceSpace(space.categories, remaining)
             )
     elif op == "extend-finite":
-        if not isinstance(space, SequenceSpace):
-            raise SchemaError(field, "'extend-finite' needs a sequence-space model")
         extra = body.get("extra")
         if not isinstance(extra, int) or isinstance(extra, bool) or extra < 0:
             raise SchemaError(f"{field}.extra", "expected a nonnegative integer")
         params["extra"] = extra
     elif op == "extend-infinite":
-        if not isinstance(space, SequenceSpace):
-            raise SchemaError(field, "'extend-infinite' needs a sequence-space model")
         if "cap" in body:
             params["cap"] = _parse_cap(body["cap"], f"{field}.cap")
     elif op == "bernstein":

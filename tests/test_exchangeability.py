@@ -5,8 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from desir.cones import IncoherentConeError, natural_extension_member
+from desir.cones import (
+    IncoherentConeError,
+    avoids_nonpositivity,
+    lower_prevision,
+    membership_report,
+    natural_extension_member,
+    upper_prevision,
+)
 from desir.exchangeability import (
+    ExchangeableModel,
     enl,
     exchangeable_extension,
     extend_finite,
@@ -194,6 +202,16 @@ class TestUpdating:
             conditioned = sample_conditioned_gamble(space, prefix, f)
             assert updated_sample_member(model, prefix, f) == model.member(conditioned)
 
+    def test_incoherent_model_refuses_updates_with_a_sequence_witness(self):
+        space = SequenceSpace(BW, 2)
+        model = ExchangeableModel(space, [seq_gamble(space, -3, 1, 1, -3),
+                                          seq_gamble(space, 1, -3, -3, 1)])
+        with pytest.raises(IncoherentConeError) as info:
+            updated_member(model, (1, 0), count_gamble(CountSpace(BW, 1), 1, 1))
+        witness = info.value.witness
+        assert witness.combination.space == space
+        assert witness.combination.is_nonpositive()
+
     def test_update_size_mismatch_rejected(self):
         space = SequenceSpace(BW, 3)
         model = exchangeable_extension(space, [])
@@ -302,3 +320,89 @@ class TestExtendFinite:
         assert not decision.extendable
         assert decision.witness is not None
         assert decision.sequence_loss.is_nonpositive()
+
+
+def combine(space, weights, gambles, indicators=()):
+    """sum w g over the weighted gambles plus sum d 1_x over the indicators."""
+    total = Gamble.zero(space)
+    for w, g in zip(weights, gambles):
+        total = total + w * g
+    for x, d in indicators:
+        total = total + d * Gamble.indicator(space, [x])
+    return total
+
+
+class TestCountViewAgainstSequenceView:
+    """Seeded random exchangeable models: the count view, whose answers
+    every exchangeable query uses, against the sequence view with the
+    symmetrization kernel as lineality.
+
+    The seed fixes the shape, k=2 with N from 1 to 4 or k=3 with N from
+    1 to 3, and draws 1-3 generators with values in [-3, 3].  On every
+    third seed the last generator is the negated sum of the others minus
+    one indicator, so that those models are incoherent.  The sequence
+    view is the slow oracle here: a k=3, N=3 program takes up to 0.2 s.
+    """
+
+    SHAPES = ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3))
+
+    @staticmethod
+    def instance(seed):
+        rng = random.Random(2000 + seed)
+        k, length = TestCountViewAgainstSequenceView.SHAPES[seed % 7]
+        space = SequenceSpace(("a", "b", "c")[:k], length)
+        n = rng.randint(1, 3)
+        gens = [Gamble.from_function(space, lambda x: F(rng.randint(-2, 3))) for _ in range(n)]
+        if seed % 3 == 0:
+            hit = Gamble.indicator(space, [rng.choice(space.points())])
+            gens[-1] = -combine(space, [1] * (n - 1), gens[:-1]) - hit
+        return rng, space, gens
+
+    @pytest.mark.parametrize("seed", range(28))
+    def test_verdicts_certificates_and_previsions(self, seed):
+        rng, space, gens = self.instance(seed)
+        kernel = kernel_basis(space)
+        model = ExchangeableModel(space, gens)
+        report = model.avoidance()
+        assert report.avoids == avoids_nonpositivity(gens, kernel).avoids
+        queries = [Gamble.from_function(space, lambda x: F(rng.randint(-3, 3)))
+                   for _ in range(2)]
+        queries.append(gens[0] + Gamble.constant(space, rng.randint(0, 1)))
+        for f in queries:
+            for prevision in (lower_prevision, upper_prevision):
+                by_count = prevision(model.count_cone, count_representation(f))
+                assert by_count == prevision(model.sequence_cone, f)
+        if not report.avoids:
+            witness = report.witness
+            assert all(w >= 0 for w in witness.generator_weights)
+            assert all(d >= 0 for _, d in witness.indicator_weights)
+            assert sum(witness.generator_weights) + sum(
+                d for _, d in witness.indicator_weights) == 1
+            total = combine(space, witness.generator_weights, gens, witness.indicator_weights)
+            total = total + combine(space, witness.lineality_weights, kernel)
+            assert total == witness.combination
+            assert total.is_nonpositive()
+            with pytest.raises(IncoherentConeError):
+                model.membership_report(queries[0])
+            return
+        for f in queries + [Gamble.zero(space)] + kernel[:1]:
+            decomposition = model.membership_report(f)
+            assert decomposition.member == membership_report(model.sequence_cone, f).member
+            if not decomposition.member:
+                continue
+            assert all(w >= 0 for w in decomposition.generator_weights)
+            assert all(d >= 0 for _, d in decomposition.indicator_weights)
+            assert any(decomposition.generator_weights) or any(
+                d for _, d in decomposition.indicator_weights)
+            total = combine(space, decomposition.generator_weights, gens,
+                            decomposition.indicator_weights)
+            assert total + combine(space, decomposition.lineality_weights, kernel) == f
+
+    def test_extension_refuses_what_the_sequence_view_refuses(self):
+        for seed in range(0, 28, 3):
+            _, space, gens = self.instance(seed)
+            if avoids_nonpositivity(gens, kernel_basis(space)).avoids:
+                assert exchangeable_extension(space, gens).sequence_cone.generators == tuple(gens)
+            else:
+                with pytest.raises(IncoherentConeError):
+                    exchangeable_extension(space, gens)

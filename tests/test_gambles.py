@@ -20,6 +20,7 @@ from desir.gambles import (
     cylindrical_extend,
     hypgeo_expectation,
     kernel_basis,
+    kernel_coordinates,
     lift_count_gamble,
     permute_gamble,
     project_ex,
@@ -243,6 +244,19 @@ class TestKernelBasis:
             points = len(list(space.points()))
             counts = len(list(CountSpace(categories, n).points()))
             assert len(kernel_basis(space)) == points - counts
+
+    def test_coordinates_round_trip(self):
+        rng = random.Random(107)
+        for space in (SequenceSpace(BW, 3), SequenceSpace(("a", "b", "c"), 2)):
+            basis = kernel_basis(space)
+            for _ in range(5):
+                coordinates = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in basis)
+                combination = Gamble.zero(space)
+                for c, v in zip(coordinates, basis):
+                    combination = combination + c * v
+                assert kernel_coordinates(combination) == coordinates
+            with pytest.raises(ValueError):
+                kernel_coordinates(Gamble.indicator(space, [space.points()[1]]))
 
     def test_basis_over_the_budget_is_refused(self):
         # 2^11 sequences enumerate within budget, but the basis would hold

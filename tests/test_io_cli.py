@@ -1,11 +1,13 @@
 """JSON formats and the command-line front end."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
+import desir.cones
 from desir.bernstein import BernsteinPoly
 from desir.cli import main
 from desir.gambles import CountSpace, Gamble, SequenceSpace
@@ -39,6 +41,12 @@ ASSESSMENT = {
 }
 
 GAMBLE_IBW = {"values": {"bb": "0", "bw": "1", "wb": "0", "ww": "0"}}
+
+EXPLICIT_LINEALITY = {
+    "space": {"categories": ["b", "w"], "length": 2},
+    "generators": [{"values": {"bb": "1", "bw": "-1", "wb": "0", "ww": "0"}}],
+    "lineality": [{"values": {"bb": "1", "bw": "0", "wb": "0", "ww": "0"}}],
+}
 
 POLY_DIP = {
     "categories": ["b", "w"],
@@ -349,6 +357,28 @@ class TestCliCommands:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and "budget" in lines[0]
 
+    @pytest.mark.parametrize("command", [
+        ["update", "g.json", "--counts", "1,0"],
+        ["extend-finite", "--extra", "1"],
+        ["extend-infinite"],
+    ])
+    def test_explicit_lineality_is_refused_by_exchangeable_operations(
+        self, tmp_path, capsys, command
+    ):
+        # These operations read the generators as an exchangeable
+        # assessment; an explicit lineality would be silently dropped.
+        a = write(tmp_path, "a.json", EXPLICIT_LINEALITY)
+        write(tmp_path, "g.json", {"values": {"1,0": "1", "0,1": "1"}})
+        args = [command[0], a] + [str(tmp_path / x) if x.endswith(".json") else x
+                                  for x in command[1:]]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {command[0]}: ")
+        assert "lineality" in lines[0]
+        assert main(["check", a]) == 2
+
     def test_incoherent_member_query_exits_two(self, tmp_path, capsys):
         bad = {
             "space": {"categories": ["b", "w"], "length": 2},
@@ -415,6 +445,57 @@ class TestCliScripts:
         out = capsys.readouterr().out
         assert "error: incoherent model" in out
         assert "[2]" not in out
+
+    def test_script_refuses_explicit_lineality_for_update(self, tmp_path, capsys):
+        write(tmp_path, "a.json", EXPLICIT_LINEALITY)
+        script = {
+            "space": {"categories": ["b", "w"], "length": 2},
+            "model": {"assessment": "a.json"},
+            "queries": [
+                {"op": "check"},
+                {"op": "update", "counts": "1,0",
+                 "gamble": {"values": {"1,0": "1", "0,1": "1"}}},
+            ],
+        }
+        path = write(tmp_path, "script.json", script)
+        assert main(["run", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: script.queries[1]: ")
+
+    def test_exchangeable_queries_solve_count_space_programs(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # The sequence view of this model has 16 points; every program
+        # must stay on count vectors, the largest of which, after one
+        # extra variable, has 6 points.
+        rows = []
+        solve = desir.cones.solve
+
+        def recording_solve(problem):
+            rows.append(len(problem.equalities) + len(problem.inequalities))
+            return solve(problem)
+
+        monkeypatch.setattr(desir.cones, "solve", recording_solve)
+        sequences = ["".join(x) for x in itertools.product("bw", repeat=4)]
+        first_black = {x: "1/2" if x[0] == "b" else "-1/2" for x in sequences}
+        script = {
+            "space": {"categories": ["b", "w"], "length": 4},
+            "model": {"generators": [{"values": first_black}], "lineality": "exchangeable"},
+            "queries": [
+                {"op": "check"},
+                {"op": "member", "gamble": {"values": {x: str(x.count("b")) for x in sequences}}},
+                {"op": "lpr", "gamble": {"values": {x: str(int(x[1] == "w")) for x in sequences}}},
+                {"op": "update", "counts": "1,0",
+                 "gamble": {"values": {"3,0": "1", "2,1": "0", "1,2": "-1", "0,3": "1"}}},
+                {"op": "extend-finite", "extra": 1},
+            ],
+        }
+        path = write(tmp_path, "script.json", script)
+        assert main(["run", path]) == 0
+        out = capsys.readouterr().out
+        assert "avoids non-positivity under exchangeability: true" in out
+        assert "member: yes" in out and "extendable: yes" in out
+        assert rows and max(rows) <= CountSpace(BW, 5).size + 1
 
     def test_script_cap_overrides_flag(self, tmp_path, capsys):
         write(
