@@ -33,7 +33,7 @@ from .gambles import (
     count_representation,
 )
 from .cones import _decompose
-from .exchangeability import update_count_gamble
+from .exchangeability import enl, update_count_gamble
 
 __all__ = [
     "BernsteinCone",
@@ -145,8 +145,8 @@ class BernsteinPoly:
             if best < cached <= degree:
                 best = cached
         g = self.coefficients if best == self.degree else self._raised[best]
-        from .exchangeability import enl
-
+        # Refuse an over-budget degree before stepping through every degree below it.
+        CountSpace(self.categories, degree).points()
         for n in range(best + 1, degree + 1):
             g = enl(g, n)
             self._raised[n] = g
@@ -196,7 +196,9 @@ def bern_multiply(observed: Counts, p: BernsteinPoly) -> BernsteinPoly:
 
     The product of two basis polynomials is a likelihood weight times
     the basis polynomial of the summed counts, so on coefficients this
-    is exactly the count-updating transform.
+    is exactly the count-updating transform.  The one-draw basis
+    polynomials sum to one, so the sum of the products with each of them
+    is the same polynomial one degree up: that is how enl raises.
     """
     return BernsteinPoly(update_count_gamble(p.coefficients, observed))
 
@@ -473,16 +475,12 @@ def updated_frequency_member(
 
 
 def multinomial_lpr(theta: FrequencyVector, g: Gamble) -> Fraction:
-    """Expected value of a count gamble under iid sampling at theta."""
-    space = g.space
-    if not isinstance(space, CountSpace):
-        raise TypeError("expected a count gamble")
-    if space.categories != theta.categories:
-        raise ValueError("frequency vector is over a different alphabet")
-    return sum(
-        (coeff * bernstein_eval(m, theta) for m, coeff in g.items() if coeff),
-        Fraction(0),
-    )
+    """Expected value of a count gamble under iid sampling at theta.
+
+    That is the polynomial with the gamble as Bernstein coefficients,
+    evaluated at theta.
+    """
+    return BernsteinPoly(g).evaluate(theta)
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,8 +19,9 @@ map on count gambles followed by the usual avoidance check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence as SequenceABC
 
 from .cones import (
@@ -314,44 +315,48 @@ def enl(g: Gamble, total: int) -> Gamble:
     of the original over all small vectors it dominates.  The map is
     linear, injective, and fixes constants; raising the atom averages of
     a gamble equals taking atom averages of its cylindrical extension.
+
+    The one-draw basis polynomials sum to one, so one more draw is the
+    sum of the updates on each single-draw count vector, and the total
+    is raised one draw at a time.
     """
     space = g.space
     if not isinstance(space, CountSpace):
         raise TypeError("degree raising needs a count gamble")
     if total < space.total:
         raise ValueError("cannot lower the total")
-    if total == space.total:
-        return g
-    target = CountSpace(space.categories, total)
-    small_points = space.points()
-    values = []
-    for big in target.points():
-        big_size = atom_size(big)
-        acc = Fraction(0)
-        for small, coeff_g in zip(small_points, g.values):
-            if coeff_g == 0:
-                continue
-            rest = tuple(b - s for b, s in zip(big, small))
-            if any(c < 0 for c in rest):
-                continue
-            acc += Fraction(atom_size(rest) * atom_size(small), big_size) * coeff_g
-        values.append(acc)
-    return Gamble(target, tuple(values))
+    # Refuse an over-budget target before stepping through every total below it.
+    CountSpace(space.categories, total).points()
+    draws = count_compositions(1, len(space.categories))
+    for _ in range(space.total, total):
+        steps = [update_count_gamble(g, e) for e in draws]
+        g = sum(steps[1:], steps[0])
+    return g
 
 
 @dataclass(frozen=True, eq=False)
 class ExtensionDecision:
     """Outcome of asking for a longer exchangeable model.
 
-    Extendable decisions carry the extended model; refusals carry the
-    nonpositive count combination and its sequence-level image, the
-    explicit sure loss any extension would have to accept.
+    Extendable decisions carry the extended model, built from the
+    cylindrically extended assessment when it is first read; refusals
+    have no model and carry the nonpositive count combination and its
+    sequence-level image, the explicit sure loss any extension would
+    have to accept.
     """
 
     extendable: bool
-    model: Optional[ExchangeableModel] = None
     witness: Optional[NonPositivityWitness] = None
     sequence_loss: Optional[Gamble] = None
+    _space: Optional[SequenceSpace] = field(default=None, repr=False)
+    _assessment: tuple[Gamble, ...] = field(default=(), repr=False)
+
+    @cached_property
+    def model(self) -> Optional[ExchangeableModel]:
+        if self._space is None:
+            return None
+        extended = tuple(cylindrical_extend(f, self._space.length) for f in self._assessment)
+        return ExchangeableModel(self._space, extended)
 
 
 def extend_finite(
@@ -360,10 +365,10 @@ def extend_finite(
     """Can the assessment live inside an exchangeable model on more variables?
 
     The answer is decided entirely on the count side: raise every atom
-    average to the larger total and check avoidance there.  Success
-    builds the extended model from the cylindrically extended
-    assessment, whose atom averages are exactly the raised gambles, so
-    its coherence needs no second check.
+    average to the larger total and check avoidance there.  The extended
+    model's assessment is the cylindrically extended one, whose atom
+    averages are exactly the raised gambles, so its coherence needs no
+    second check, and the model is built only when it is read.
     """
     assessment = tuple(assessment)
     for f in assessment:
@@ -380,6 +385,6 @@ def extend_finite(
         assert report.witness is not None
         loss = lift_count_gamble(report.witness.combination)
         return ExtensionDecision(False, witness=report.witness, sequence_loss=loss)
-    extended = tuple(cylindrical_extend(f, total) for f in assessment)
-    model = ExchangeableModel(SequenceSpace(space.categories, total), extended)
-    return ExtensionDecision(True, model=model)
+    return ExtensionDecision(
+        True, _space=SequenceSpace(space.categories, total), _assessment=assessment
+    )

@@ -318,9 +318,6 @@ class Gamble:
     def max_value(self) -> Fraction:
         return max(self.values)
 
-    def support(self) -> tuple[Point, ...]:
-        return tuple(p for p, a in self.items() if a != 0)
-
 
 @dataclass(frozen=True)
 class Permutation:
@@ -415,14 +412,7 @@ def permute_gamble(p: Permutation, f: Gamble) -> Gamble:
 
 def hypgeo_expectation(f: Gamble, m: Counts) -> Fraction:
     """Average of the gamble over the atom of the count vector m."""
-    space = f.space
-    if not isinstance(space, SequenceSpace):
-        raise TypeError("atom averages need a sequence gamble")
-    slices = _atom_slices(space)
-    if m not in slices:
-        raise KeyError(f"{m!r} is not a count vector of {space}")
-    ixs = slices[m]
-    return sum(f.values[i] for i in ixs) / len(ixs)
+    return count_representation(f)[m]
 
 
 def count_representation(f: Gamble) -> Gamble:

@@ -255,26 +255,20 @@ def parse_assessment(obj: Any, field: str = "assessment") -> AssessmentSpec:
         parse_gamble(item, f"{field}.generators[{i}]", space)
         for i, item in enumerate(raw_generators)
     )
-    raw_lineality = body.get("lineality", "none")
-    lineality: Union[str, tuple[Gamble, ...]]
-    if raw_lineality == "exchangeable":
-        if not isinstance(space, SequenceSpace):
-            raise SchemaError(
-                f"{field}.lineality", "'exchangeable' needs a sequence space"
-            )
-        lineality = "exchangeable"
-    elif raw_lineality == "none" or raw_lineality is None:
-        lineality = ()
-    elif isinstance(raw_lineality, list):
-        lineality = tuple(
-            parse_gamble(item, f"{field}.lineality[{i}]", space)
-            for i, item in enumerate(raw_lineality)
-        )
-    else:
-        raise SchemaError(
-            f"{field}.lineality", "expected 'exchangeable', 'none', or a list of gambles"
-        )
+    lineality = _parse_lineality(body.get("lineality", "none"), space, f"{field}.lineality")
     return AssessmentSpec(space, generators, lineality)
+
+
+def _parse_lineality(raw: Any, space: Space, field: str) -> Union[str, tuple[Gamble, ...]]:
+    if raw == "exchangeable":
+        if not isinstance(space, SequenceSpace):
+            raise SchemaError(field, "'exchangeable' needs a sequence space")
+        return "exchangeable"
+    if raw == "none" or raw is None:
+        return ()
+    if isinstance(raw, list):
+        return tuple(parse_gamble(item, f"{field}[{i}]", space) for i, item in enumerate(raw))
+    raise SchemaError(field, "expected 'exchangeable', 'none', or a list of gambles")
 
 
 def parse_polynomial(obj: Any, field: str = "polynomial") -> BernsteinPoly:
@@ -425,11 +419,8 @@ def parse_script(obj: Any, base_dir: Union[str, Path]) -> QueryScript:
         )
         spec = AssessmentSpec(space, generators, spec.lineality)
     if "lineality" in model:
-        shim = {"space": format_space(space), "lineality": model["lineality"]}
-        reparsed = parse_assessment(
-            {**shim, "generators": []}, "script.model"
-        )
-        spec = AssessmentSpec(spec.space, spec.generators, reparsed.lineality)
+        lineality = _parse_lineality(model["lineality"], space, "script.model.lineality")
+        spec = AssessmentSpec(space, spec.generators, lineality)
     cap: Optional[int] = None
     if "cap" in model:
         cap = _parse_cap(model["cap"], "script.model.cap")

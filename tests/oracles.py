@@ -10,6 +10,7 @@ Nothing in this module imports from the package under test.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -46,6 +47,36 @@ def hypergeometric_mean(values: dict, categories: Sequence[str], length: int,
     """Uniform average of a sequence gamble over one count atom."""
     atom = atom_of(categories, length, m)
     return sum((values[x] for x in atom), Fraction(0)) / len(atom)
+
+
+def multinomial(m: Sequence[int]) -> int:
+    """How many sequences have the counts m, as a product of binomials."""
+    size, remaining = 1, sum(m)
+    for c in m:
+        size *= math.comb(remaining, c)
+        remaining -= c
+    return size
+
+
+def raise_counts(values: dict, parts: int, total: int) -> dict:
+    """Raise a count gamble to a larger total by the pairwise sum.
+
+    The value at each big count vector M is the sum, over every small
+    vector m it dominates, of values[m] weighted by the chance that the
+    first draws of M without replacement have counts m:
+    multinomial(m) * multinomial(M - m) / multinomial(M).
+    """
+    result = {}
+    for big in itertools.product(range(total + 1), repeat=parts):
+        if sum(big) != total:
+            continue
+        acc = Fraction(0)
+        for small, value in values.items():
+            rest = tuple(b - s for b, s in zip(big, small))
+            if min(rest) >= 0:
+                acc += Fraction(multinomial(small) * multinomial(rest), multinomial(big)) * value
+        result[big] = acc
+    return result
 
 
 def coefficient_grid(max_value: int, max_denominator: int) -> list[Fraction]:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from desir.bernstein import BernsteinPoly
 from desir.cones import (
     IncoherentConeError,
     avoids_nonpositivity,
@@ -34,6 +35,8 @@ from desir.gambles import (
     kernel_basis,
     project_ex,
 )
+
+from oracles import raise_counts
 
 F = Fraction
 BW = ("b", "w")
@@ -271,6 +274,40 @@ class TestEnl:
             f = Gamble.from_function(space, lambda x: F(rng.randint(-4, 4)))
             lifted = count_representation(cylindrical_extend(f, 4))
             assert lifted == enl(count_representation(f), 4)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_matches_pairwise_oracle_at_more_categories(self, k):
+        rng = random.Random(107 + k)
+        categories = tuple("abcd"[:k])
+        for gap in range(1, 7):
+            for _ in range(2):
+                space = CountSpace(categories, rng.randint(0, 4))
+                g = Gamble.from_function(
+                    space, lambda m: F(rng.randint(-5, 5), rng.randint(1, 3))
+                )
+                total = space.total + gap
+                assert dict(enl(g, total).items()) == raise_counts(dict(g.items()), k, total)
+
+    def test_raising_commutes_with_cylindrical_extension_at_three_categories(self):
+        rng = random.Random(109)
+        for length in (1, 2, 3):
+            space = SequenceSpace(("a", "b", "c"), length)
+            for length_up in range(length + 1, 7):
+                f = Gamble.from_function(space, lambda x: F(rng.randint(-4, 4)))
+                lifted = count_representation(cylindrical_extend(f, length_up))
+                assert lifted == enl(count_representation(f), length_up)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_memoized_raising_equals_one_call(self, k):
+        rng = random.Random(113 + k)
+        categories = tuple("abcd"[:k])
+        for start in (0, 1, 3):
+            g = Gamble.from_function(
+                CountSpace(categories, start), lambda m: F(rng.randint(-5, 5))
+            )
+            p = BernsteinPoly(g)
+            for n in range(start, 13):
+                assert p.raised(n) == enl(g, n)
 
 
 class TestExtendFinite:

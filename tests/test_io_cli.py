@@ -222,6 +222,35 @@ class TestScripts:
         assert q.params["counts"] == (1, 0)
         assert q.params["gamble"].space == CountSpace(BW, 1)
 
+    def test_script_lineality_list_matches_the_assessment_file(self, tmp_path):
+        script = {
+            "space": EXPLICIT_LINEALITY["space"],
+            "model": {"generators": EXPLICIT_LINEALITY["generators"],
+                      "lineality": EXPLICIT_LINEALITY["lineality"]},
+            "queries": [{"op": "check"}],
+        }
+        assert parse_script(script, tmp_path).spec == parse_assessment(EXPLICIT_LINEALITY)
+
+    @pytest.mark.parametrize("space, lineality, field", [
+        ({"categories": ["b", "w"], "length": 2}, "symmetric", "script.model.lineality"),
+        ({"categories": ["b", "w"], "length": 2}, 3, "script.model.lineality"),
+        ({"categories": ["b", "w"], "total": 2}, "exchangeable", "script.model.lineality"),
+        ({"categories": ["b", "w"], "length": 2}, [{"values": {"bb": "1"}}],
+         "script.model.lineality[0].values"),
+    ])
+    def test_script_lineality_errors_name_the_field(self, tmp_path, capsys, space, lineality,
+                                                    field):
+        script = {"space": space, "model": {"lineality": lineality},
+                  "queries": [{"op": "check"}]}
+        with pytest.raises(SchemaError) as info:
+            parse_script(script, tmp_path)
+        assert info.value.field == field
+        assert main(["run", write(tmp_path, "script.json", script)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {field}: ")
+
     def test_unknown_op_rejected(self, tmp_path):
         script = {
             "space": {"categories": ["b", "w"], "length": 2},
@@ -347,7 +376,7 @@ class TestCliCommands:
          ["check"]),
         ({"space": {"categories": ["b", "w"], "length": 2},
           "generators": [{"values": {"bb": "1", "bw": "-1", "wb": "-1", "ww": "1"}}]},
-         ["extend-finite", "--extra", "22"]),
+         ["extend-finite", "--extra", "2000000"]),
     ])
     def test_spaces_over_the_size_budget_exit_one(self, tmp_path, capsys, model, command):
         a = write(tmp_path, "a.json", model)
@@ -356,6 +385,28 @@ class TestCliCommands:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and "budget" in lines[0]
+
+    @pytest.mark.parametrize("action", ["raise", "range"])
+    def test_bernstein_degree_over_the_size_budget_exits_one(self, tmp_path, capsys, action):
+        p = write(tmp_path, "p.json", {"categories": ["b", "w"], "degree": 1,
+                                       "coefficients": {"1,0": "1", "0,1": "-1"}})
+        assert main(["bernstein", action, p, "--to", "2000000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "budget" in lines[0]
+
+    @pytest.mark.parametrize("extra", [9, 22])
+    def test_extend_finite_past_the_kernel_basis_budget(self, tmp_path, capsys, extra):
+        # The count check decides; the extended sequence model, whose
+        # kernel basis would be over the budget, is never built.
+        a = write(tmp_path, "a.json", {
+            "space": {"categories": ["b", "w"], "length": 2},
+            "generators": [{"values": {"bb": "1", "bw": "-1", "wb": "-1", "ww": "1"}}]})
+        assert main(["extend-finite", a, "--extra", str(extra)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"extendable: yes\nextended length: {2 + extra}\n"
+        assert captured.err == ""
 
     @pytest.mark.parametrize("command", [
         ["update", "g.json", "--counts", "1,0"],
