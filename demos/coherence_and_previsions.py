@@ -57,8 +57,8 @@ print()
 # 2. The mirror bet wrecks it
 # ----------------------------------------------------------------------
 # Also accepting the reflected bet (win on matches, lose on
-# differences) is incoherent: a 3:1 blend of the two never wins and
-# sometimes loses.  The checker returns the blend as a certificate.
+# differences) is incoherent: an even blend of the two loses 1 whatever
+# happens.  The checker returns the blend as a certificate.
 
 mirror = Gamble.from_mapping(
     space, {("b", "b"): 1, ("b", "w"): -3, ("w", "b"): -3, ("w", "w"): 1}

@@ -8,20 +8,40 @@ the lineality space.
 
 Every query reduces to one exact rational linear program: does a gamble
 decompose as a nonnegative combination of given gambles plus a lineality
-shift plus a nonnegative remainder?  The program has one row per point,
-combination <= rhs, and the row slacks are the remainder, that is the
-weights of the unit indicators.  The queries differ only in what they
-feed it:
+shift plus a nonnegative remainder?  Pointwise, combination <= rhs, and
+the remainder is the weights of the unit indicators.  The queries differ
+only in what they feed it:
 
-* coherence, as avoiding non-positivity: rhs zero, the unit indicators
-  as extra columns, and the nonnegative weights normalized to sum to
-  one; a solution is a pointwise nonpositive combination;
+* coherence, as avoiding non-positivity: rhs zero, and the generator
+  and unit-indicator weights normalized to sum to one; a solution is a
+  pointwise nonpositive combination;
 * membership in the natural extension: rhs the queried gamble, and the
   total nonnegative weight maximized, which must be positive;
 * lower prevision: rhs the queried gamble, the constant gamble as one
   more free column, and its weight maximized.
 
-The Bernstein scans in desir.bernstein solve the same program on raised
+The solver sees the dual of that program, in credal-set form (Walley
+1991, ch. 3; Troffaes and de Cooman 2014, ch. 4): a linear prevision P
+per point column, one row per generator (P . g >= cost), one per
+lineality vector (P . v = cost), and sum P = 1 where the program
+normalizes or shifts by the constant.  The lower prevision, for one, is
+min P . f over the P >= 0 with sum P = 1, P . g >= 0 and P . v = 0.
+The rows are few and the columns many, which suits the simplex's
+largest-cost pivot rule.  The certificate comes back from the solver's
+dual values: the generator and lineality weights are the values of
+their rows, and the unit-indicator weights are the reduced costs of the
+point columns, that is rhs minus the combination.
+
+Coherence solves a Gordan-type dual: maximize t with q = P - t >= 0,
+q . g_i + t (sum g_i - 1) >= 0, q . v_j + t sum v_j = 0 and
+sum q + n t = 1, which puts the unit indicators in as a shift instead
+of n more rows.  The cone avoids non-positivity exactly when t* > 0;
+otherwise the dual values give a normalized combination equal to the
+constant t*.  The program is infeasible exactly when the constant gamble
+lies in the lineality span, and its Farkas multipliers then give a
+combination equal to zero.
+
+The Bernstein scans in desir.bernstein solve the same programs on raised
 coefficient vectors.  Cones are immutable; the coherence verdict is
 computed once and cached.
 """
@@ -30,7 +50,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence as SequenceABC
+from collections.abc import Sequence as SequenceABC
+from typing import Iterable, Optional
 
 from .gambles import Gamble, Point, RationalLike, Space, _as_fraction
 from .lp import LpProblem, solve
@@ -52,7 +73,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NonPositivityWitness:
     """A normalized combination certifying failure to avoid non-positivity.
 
@@ -67,28 +88,73 @@ class NonPositivityWitness:
     combination: Gamble
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AvoidanceReport:
     avoids: bool
     witness: Optional[NonPositivityWitness] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemberReport:
     """Membership verdict with, when positive, an explicit decomposition.
 
     The decomposition writes the queried gamble as a nonnegative
     combination of generators and unit indicators plus a lineality
-    shift, with the nonnegative part not identically zero.
+    shift, with the nonnegative part not identically zero.  The
+    indicator weights are a sequence of (point, weight) pairs.
     """
 
     member: bool
     generator_weights: tuple[Fraction, ...] = ()
-    indicator_weights: tuple[tuple[Point, Fraction], ...] = ()
+    indicator_weights: SequenceABC[tuple[Point, Fraction]] = ()
     lineality_weights: tuple[Fraction, ...] = ()
 
 
-@dataclass(frozen=True)
+class _Remainder(SequenceABC):
+    """The nonzero values of rhs - sum_i weights_i gambles_i, as (point,
+    value) pairs, computed when read.
+
+    These are a decomposition's unit-indicator weights.  The view keeps
+    references to gambles its caller holds anyway, not one value per
+    point, which matters to callers that hold many reports.
+    """
+
+    __slots__ = ("_rhs", "_gambles", "_weights")
+
+    def __init__(self, rhs: Gamble, gambles, weights) -> None:
+        self._rhs = rhs
+        self._gambles = gambles
+        self._weights = weights
+
+    def _pairs(self) -> tuple[tuple[Point, Fraction], ...]:
+        values = _combine(self._rhs.space, self._weights, self._gambles)
+        return tuple(
+            (p, b - c) for p, b, c in zip(self._rhs.space.points(), self._rhs.values, values)
+            if b != c
+        )
+
+    def __getitem__(self, index):
+        return self._pairs()[index]
+
+    def __iter__(self):
+        return iter(self._pairs())
+
+    def __len__(self) -> int:
+        return len(self._pairs())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SequenceABC):
+            return NotImplemented
+        return self._pairs() == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(self._pairs())
+
+    def __repr__(self) -> str:
+        return repr(self._pairs())
+
+
+@dataclass(frozen=True, slots=True)
 class PrevisionValue:
     """An exact prevision: a rational number or an unboundedness marker."""
 
@@ -126,6 +192,11 @@ class PrevisionValue:
         if self.kind == "unbounded_above":
             return PrevisionValue.unbounded_below()
         return PrevisionValue.unbounded_above()
+
+
+# Reports are immutable, so the two that carry nothing are shared.
+_AVOIDS = AvoidanceReport(True)
+_NOT_MEMBER = MemberReport(False)
 
 
 class IncoherentConeError(ValueError):
@@ -170,48 +241,173 @@ def _decompose(
 ) -> Optional[_Decomposition]:
     """Solve the decomposition program that every cone query reduces to.
 
-    One row per point w of the space:
+    The program asks for weights lambda >= 0 on the nonnegative columns
+    and u on the free ones with, at every point w of the space,
 
         sum_i lambda_i nonneg_i(w) + sum_j u_j free_j(w) <= rhs(w),
 
-    with lambda >= 0, u free and rhs zero when omitted.  When normalized,
-    the lambda sum to one.  With costs, aligned with the nonnegative
-    columns and then the free ones, the program maximizes; without, it
-    asks for feasibility.  Returns None when infeasible.  Otherwise the
-    row slacks, rhs minus the combination, are read back as a gamble:
-    they are the unit-indicator weights that complete the combination to
-    exactly rhs.  A program without columns needs no solver: its only
-    solution is empty.
+    rhs zero when omitted.  When normalized, the lambda sum to one (rhs
+    is then zero and there are no costs).  With costs, aligned with the
+    nonnegative columns and then the free ones, the program maximizes;
+    without, it asks for feasibility.  Returns None when infeasible.
+    Otherwise the row slacks, rhs minus the combination, are read back
+    as a gamble: they are the unit-indicator weights that complete the
+    combination to exactly rhs.
+
+    The solver sees the dual program, over linear previsions P with one
+    column per point and one row per column here (see the module
+    docstring); the weights are the dual values of those rows.  When
+    the maximum is unbounded, the weights are an improving ray and the
+    slack is minus its combination.  Only lower_prevision meets that
+    case, and its program, shifted by the constant gamble, is always
+    feasible; membership asks coherent cones only, whose programs have
+    no improving ray.  A program without columns needs no solver: its
+    only solution is empty.  Coherence, whose normalization counts the
+    unit indicators as well, calls _normalized with units itself.
     """
-    columns = tuple(nonneg) + tuple(free)
+    space.points()  # the size guard, before any column exists
+    nonneg = tuple(nonneg)
+    free = tuple(free)
     bound = rhs.values if rhs is not None else (Fraction(0),) * space.size
-    x: list[Fraction] = []
-    unbounded = False
-    if columns:
-        names = [f"x{c}" for c in range(len(columns))]
-        variables = [
-            (name, "nonneg" if c < len(nonneg) else "free") for c, name in enumerate(names)
-        ]
-        rows = [
-            ({name: g.values[w] for name, g in zip(names, columns) if g.values[w]}, b)
-            for w, b in enumerate(bound)
-        ]
-        normalization = [({name: 1 for name in names[: len(nonneg)]}, 1)] if normalized else []
-        objective = None if costs is None else (dict(zip(names, costs)), "max")
-        outcome = solve(LpProblem(variables, normalization, rows, objective))
-        if not outcome.is_feasible:
+    if not nonneg and not free:
+        if normalized or min(bound) < 0:
             return None
-        assert outcome.witness is not None
-        x = [outcome.witness[name] for name in names]
-        unbounded = outcome.status == "unbounded"
-    elif normalized or min(bound) < 0:
-        return None
-    slack = list(bound)
-    for weight, g in zip(x, columns):
-        if weight:
-            slack = [s - weight * a for s, a in zip(slack, g.values)]
+        return _solution(space, (), (), bound)
+    if normalized:
+        return _normalized(space, nonneg, free)
+    if costs is not None:
+        return _optimum(space, nonneg, free, bound, [_as_fraction(c) for c in costs])
+    # Feasible exactly when rhs has a nonnegative lower prevision: the
+    # program shifted by the constant gamble, its weight maximized.
     n = len(nonneg)
-    return _Decomposition(tuple(x[:n]), tuple(x[n:]), Gamble(space, tuple(slack)), unbounded)
+    shifted = _optimum(
+        space, nonneg, (Gamble.unit(space),) + free, bound,
+        [Fraction(0)] * n + [Fraction(1)] + [Fraction(0)] * len(free),
+    )
+    weights, mu, shifts = shifted.weights, shifted.shifts[0], shifted.shifts[1:]
+    if shifted.unbounded:
+        # A ray below -mu < 0 everywhere, scaled until it fits under rhs.
+        scale = max(Fraction(0), -min(bound)) / mu
+        weights = tuple(scale * x for x in weights)
+        shifts = tuple(scale * x for x in shifts)
+    elif mu < 0:
+        return None
+    combination = _combine(space, weights, nonneg, shifts, free)
+    return _solution(space, weights, shifts, [b - c for b, c in zip(bound, combination)])
+
+
+def _combine(space, weights, nonneg, shifts=(), free=()) -> list[Fraction]:
+    total = [Fraction(0)] * space.size
+    for weight, g in zip(tuple(weights) + tuple(shifts), tuple(nonneg) + tuple(free)):
+        if weight:
+            total = [t + weight * a for t, a in zip(total, g.values)]
+    return total
+
+
+_SMALL = tuple(Fraction(i) for i in range(-64, 65))
+
+
+def _compact(values) -> tuple[Fraction, ...]:
+    """The values as a tuple in which equal values share one object.
+
+    Callers may hold reports in bulk, and a dense certificate repeats a
+    few values at many points; small integers are shared across calls.
+    """
+    seen: dict[Fraction, Fraction] = {}
+    out = []
+    for v in values:
+        if v.denominator == 1 and -64 <= v.numerator <= 64:
+            v = _SMALL[v.numerator + 64]
+        else:
+            v = seen.setdefault(v, v)
+        out.append(v)
+    return tuple(out)
+
+
+def _solution(space, weights, shifts, slack, unbounded=False) -> _Decomposition:
+    return _Decomposition(
+        _compact(weights), _compact(shifts), Gamble(space, _compact(slack)), unbounded
+    )
+
+
+def _row(values, scale=1) -> dict[str, Fraction]:
+    """A gamble as LP coefficients over the point columns p0, p1, ..."""
+    return {f"p{w}": scale * a for w, a in enumerate(values) if a}
+
+
+def _optimum(space, nonneg, free, bound, costs) -> Optional[_Decomposition]:
+    """The maximizing program, through its dual: min P . rhs over P >= 0
+    with P . nonneg_i >= cost_i and P . free_j = cost_j.
+
+    The dual values of those rows are lambda and minus u.  An unbounded
+    dual means an infeasible program; an infeasible dual, whose Farkas
+    multipliers are an improving ray, an unbounded one.
+    """
+    n = len(nonneg)
+    variables = [(f"p{w}", "nonneg") for w in range(space.size)]
+    below = [(_row(g.values, -1), -c) for g, c in zip(nonneg, costs)]
+    level = [(_row(v.values), c) for v, c in zip(free, costs[n:])]
+    outcome = solve(LpProblem(variables, level, below, (_row(bound, -1), "max")))
+    if outcome.status == "unbounded":
+        return None
+    weights = outcome.duals[len(free):]
+    shifts = tuple(-z for z in outcome.duals[: len(free)])
+    combination = _combine(space, weights, nonneg, shifts, free)
+    unbounded = outcome.status == "infeasible"
+    base = (Fraction(0),) * space.size if unbounded else bound
+    slack = [b - c for b, c in zip(base, combination)]
+    return _solution(space, weights, shifts, slack, unbounded)
+
+
+def _normalized(space, nonneg, free, units: bool = False) -> Optional[_Decomposition]:
+    """The normalized program, through its Gordan-type dual.
+
+    Maximize t over P >= 0 with P . nonneg_i >= t, P . free_j = 0 and
+    sum P = 1: a normalized combination exists exactly when t* <= 0.
+    The dual values of the rows are lambda, minus u, and t*.
+
+    With units, every unit indicator is one more nonnegative column, and
+    its weight is reported after the others.  Their rows P_w >= t are
+    bounds, so the program runs in q = P - t >= 0 instead, with one row
+    per other column: maximize t with q . g_i + t (sum g_i - 1) >= 0,
+    q . v_j + t sum v_j = 0 and sum q + n t = 1.  The unit weights d are
+    then the reduced costs of the point columns, and lambda . nonneg +
+    u . free + d is the constant t*.
+    """
+    size = space.size
+    shift = int(units)
+    variables = [(f"p{w}", "nonneg") for w in range(size)] + [("t", "free")]
+    below = [({**_row(g.values, -1), "t": 1 - shift * sum(g.values)}, 0) for g in nonneg]
+    level = [({**_row(v.values), "t": shift * sum(v.values)}, 0) for v in free]
+    level.append(({**_row((1,) * size), "t": shift * size}, 1))
+    outcome = solve(LpProblem(variables, level, below, ({"t": 1}, "max")))
+    if outcome.status == "unbounded" or (outcome.status == "bounded" and outcome.value > 0):
+        return None
+    shifts = tuple(-z for z in outcome.duals[: len(free)])
+    sigma = outcome.duals[len(free)]
+    if outcome.status == "bounded":
+        weights = list(outcome.duals[len(free) + 1:])
+        combination = _combine(space, weights, nonneg, shifts, free)
+        if units:
+            weights += [sigma - c for c in combination]
+            combination = [sigma] * size
+    else:
+        # No P with sum P = 1 is level on the free columns: the Farkas
+        # multipliers put u . free below sigma < 0 everywhere (equal to it
+        # with units).  Any normalized start plus enough of u will do.
+        if units:
+            weights = [Fraction(0)] * len(nonneg) + [Fraction(1, size)] * size
+            start = [Fraction(1, size)] * size
+        elif nonneg:
+            weights = [Fraction(1)] + [Fraction(0)] * (len(nonneg) - 1)
+            start = list(nonneg[0].values)
+        else:
+            return None
+        scale = max(Fraction(0), max(start)) / -sigma
+        shifts = tuple(scale * x for x in shifts)
+        combination = _combine(space, (), (), shifts, free)
+        combination = [s + c for s, c in zip(start, combination)]
+    return _solution(space, weights, shifts, [-c for c in combination])
 
 
 def avoids_nonpositivity(
@@ -233,21 +429,19 @@ def avoids_nonpositivity(
     space = _common_space(assessment, space)
     space = _common_space(lineality, space)
     if space is None:
-        return AvoidanceReport(True)
+        return _AVOIDS
 
-    # The unit indicators are explicit columns, counted in the
-    # normalization: a witness may put all its weight on them, as when
-    # the lineality alone holds a nonnegative nonzero gamble.
+    # The unit indicators count in the normalization: a witness may put
+    # all its weight on them, as when the lineality alone holds a
+    # nonnegative nonzero gamble.
     points = space.points()
-    units = tuple(Gamble.indicator(space, [p]) for p in points)
-    solution = _decompose(space, assessment + units, lineality, normalized=True)
+    solution = _normalized(space, assessment, lineality, units=True)
     if solution is None:
-        return AvoidanceReport(True)
+        return _AVOIDS
     n = len(assessment)
     iw = tuple((p, d) for p, d in zip(points, solution.weights[n:]) if d)
-    witness = NonPositivityWitness(
-        solution.weights[:n], iw, solution.shifts, -solution.slack
-    )
+    combination = Gamble(space, _compact(-s for s in solution.slack.values))
+    witness = NonPositivityWitness(solution.weights[:n], iw, solution.shifts, combination)
     return AvoidanceReport(False, witness)
 
 
@@ -326,10 +520,14 @@ def membership_report(cone: DesirCone, f: Gamble) -> MemberReport:
     weights are the row slacks, so the total weight is written over the
     generator and lineality columns, up to the constant sum of f.
     """
-    cone.ensure_coherent()
+    # Raised here rather than in ensure_coherent: a caller that keeps the
+    # exception keeps every frame of its traceback.
+    report = cone.avoidance()
+    if not report.avoids:
+        raise IncoherentConeError(report.witness)
     _check_query_gamble(cone, f)
     if f.is_zero():
-        return MemberReport(False)
+        return _NOT_MEMBER
 
     # A coherent cone keeps this maximum finite: an unbounded direction
     # would be a nonpositive combination of generators and indicators.
@@ -337,8 +535,8 @@ def membership_report(cone: DesirCone, f: Gamble) -> MemberReport:
     costs += [-sum(v.values) for v in cone.lineality]
     solution = _decompose(cone.space, cone.generators, cone.lineality, rhs=f, costs=costs)
     if solution is None or sum(solution.weights) + sum(solution.slack.values) == 0:
-        return MemberReport(False)
-    iw = tuple((p, d) for p, d in solution.slack.items() if d)
+        return _NOT_MEMBER
+    iw = _Remainder(f, cone.generators + cone.lineality, solution.weights + solution.shifts)
     return MemberReport(True, solution.weights, iw, solution.shifts)
 
 

@@ -195,7 +195,7 @@ def _atom_slices(space: SequenceSpace) -> dict[Counts, tuple[int, ...]]:
     return {m: tuple(ixs) for m, ixs in groups.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gamble:
     """An exact rational-valued map on a finite space.
 

@@ -2,9 +2,22 @@
 
 Every cone query in this package (coherence, membership, previsions)
 reduces to a small feasibility or optimization problem with Fraction
-coefficients.  The solver is a two-phase simplex with Bland's pivot
-rule: exact arithmetic throughout, guaranteed termination, and a
-deterministic outcome for a given problem.
+coefficients.  The solver is a two-phase simplex on a dense tableau,
+with exact arithmetic throughout and a deterministic outcome for a
+given problem.
+
+The entering column is the one of largest reduced cost, ties going to
+the lowest index.  On the wide programs the cone queries build, with
+few rows and one column per point, this takes a handful of pivots where
+Bland's lowest-index rule takes about one per column.  The largest-cost
+rule can cycle on a degenerate vertex, so after DEGENERATE_RUN
+degenerate pivots in a row the solver enters by Bland's rule until the
+next pivot that moves the objective; Bland's rule cannot cycle, so
+every solve terminates.
+
+Every outcome carries the dual values of the rows: an optimal dual
+solution for a bounded program, a Farkas certificate for an infeasible
+one.  Callers read the certificate of the dual program from them.
 
 Strict inequalities never appear here.  Callers that need "not all
 zero" or "strictly positive" encode it with a normalization row such
@@ -15,7 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from itertools import chain
+from typing import Mapping, Optional
 
 Rational = Fraction
 
@@ -28,6 +42,9 @@ INFEASIBLE = "infeasible"
 FEASIBLE = "feasible"
 BOUNDED = "bounded"
 UNBOUNDED = "unbounded"
+
+DEGENERATE_RUN = 10
+"""Degenerate pivots in a row after which entering falls back to Bland's rule."""
 
 
 class MalformedProblemError(ValueError):
@@ -96,6 +113,23 @@ class LpProblem:
 
 
 @dataclass(frozen=True)
+class LpStats:
+    """What a solve cost: the tableau's size, its pivots and its largest number.
+
+    rows and columns count the tableau, slack and artificial columns
+    included; a free variable takes two columns.  denominator_bits is
+    the bit length of the largest denominator in the final tableau.
+    """
+
+    rows: int
+    columns: int
+    phase_one_pivots: int
+    phase_two_pivots: int
+    degenerate_pivots: int
+    denominator_bits: int
+
+
+@dataclass(frozen=True)
 class LpOutcome:
     """Certified result of solve().
 
@@ -104,12 +138,25 @@ class LpOutcome:
     witness.  For unbounded problems, ray is a direction that keeps all
     constraints satisfied from the witness and strictly improves the
     objective for every positive step.
+
+    duals holds one value per row, the equalities first and then the
+    inequalities, each in input order.  For a bounded problem they are
+    an optimal solution of its dual: b . y equals value, y . A_j equals
+    the objective coefficient c_j of every free variable, and for a
+    maximization y . A_j >= c_j on the nonnegative variables with the
+    inequality values nonnegative (a minimization reverses both signs).
+    For an infeasible problem they are a Farkas certificate:
+    inequality values nonnegative, y . A_j >= 0 on the nonnegative
+    variables, zero on the free ones, and b . y < 0.  A feasibility
+    problem has all duals zero; an unbounded one has none.
     """
 
     status: str
     witness: Optional[dict[str, Fraction]] = None
     value: Optional[Fraction] = None
     ray: Optional[dict[str, Fraction]] = None
+    duals: Optional[tuple[Fraction, ...]] = None
+    stats: Optional[LpStats] = None
 
     @property
     def is_feasible(self) -> bool:
@@ -117,11 +164,14 @@ class LpOutcome:
 
 
 class _Tableau:
-    """Dense simplex tableau with Bland's rule.
+    """Dense simplex tableau, largest reduced cost first.
 
     Columns: one per nonnegative variable, a (plus, minus) pair per free
     variable, then one slack per inequality, then one artificial per row
-    that needs one.  All entries are Fractions.
+    that needs one.  All entries are Fractions.  Each row starts with a
+    unit column, its slack or its artificial; the reduced costs of these
+    columns give the dual values.  Artificial columns stay in the
+    tableau after phase one for that reason, but never enter again.
     """
 
     def __init__(self, problem: LpProblem):
@@ -172,8 +222,10 @@ class _Tableau:
         # Normalize to rhs >= 0, then pick an initial basis: a slack with
         # coefficient +1 where available, an artificial otherwise.
         self.basis: list[int] = []
+        self.flipped: list[bool] = []
         art_rows = []
         for i, row in enumerate(rows):
+            self.flipped.append(rhs[i] < 0)
             if rhs[i] < 0:
                 rows[i] = [-c for c in row]
                 rhs[i] = -rhs[i]
@@ -190,9 +242,13 @@ class _Tableau:
             rows[i][ncols] = one
             self.basis[i] = ncols
             ncols += 1
+        self.unit_col = list(self.basis)
         self.A = rows
         self.b = rhs
         self.ncols = ncols
+        self.pivots = [0, 0]
+        self.phase = 0
+        self.degenerate = 0
 
     # -- pivoting ------------------------------------------------------
 
@@ -200,7 +256,7 @@ class _Tableau:
         piv = self.A[i][j]
         if piv != 1:
             inv = 1 / piv
-            self.A[i] = [c * inv for c in self.A[i]]
+            self.A[i] = [c * inv if c else c for c in self.A[i]]
             self.b[i] *= inv
         row_i = self.A[i]
         b_i = self.b[i]
@@ -209,35 +265,49 @@ class _Tableau:
                 continue
             f = row[j]
             if f:
-                self.A[k] = [c - f * d for c, d in zip(row, row_i)]
+                self.A[k] = [c - f * d if d else c for c, d in zip(row, row_i)]
                 self.b[k] -= f * b_i
         f = self.red[j]
         if f:
-            self.red = [c - f * d for c, d in zip(self.red, row_i)]
+            self.red = [c - f * d if d else c for c, d in zip(self.red, row_i)]
             self.objval += f * b_i
         self.basis[i] = j
 
     def _set_costs(self, costs: list[Fraction]) -> None:
         """Install a maximize objective and price out the current basis."""
+        self.costs = costs
         red = list(costs)
         objval = Fraction(0)
         for i, col in enumerate(self.basis):
             f = red[col]
             if f:
-                red = [c - f * d for c, d in zip(red, self.A[i])]
+                red = [c - f * d if d else c for c, d in zip(red, self.A[i])]
                 objval += f * self.b[i]
         # Basic columns now have reduced cost exactly zero.
         self.red = red
         self.objval = objval
 
-    def _bland(self, allowed: int) -> str:
-        """Run Bland's rule over columns [0, allowed); returns optimal/unbounded."""
+    def _enter(self, allowed: int, bland: bool) -> int:
+        """The entering column among [0, allowed), or -1 at optimality."""
+        red = self.red
+        enter, best = -1, 0
+        for j in range(allowed):
+            r = red[j]
+            if r > best:
+                if bland:
+                    return j
+                enter, best = j, r
+        return enter
+
+    def _run(self, allowed: int) -> str:
+        """Pivot over columns [0, allowed) until optimal or unbounded.
+
+        Enters the largest reduced cost; after DEGENERATE_RUN degenerate
+        pivots in a row, enters by Bland's rule until the objective moves.
+        """
+        run = 0
         while True:
-            enter = -1
-            for j in range(allowed):
-                if self.red[j] > 0:
-                    enter = j
-                    break
+            enter = self._enter(allowed, run >= DEGENERATE_RUN)
             if enter < 0:
                 return "optimal"
             leave = -1
@@ -253,43 +323,40 @@ class _Tableau:
             if leave < 0:
                 self.unbounded_col = enter
                 return "unbounded"
+            if best == 0:
+                run += 1
+                self.degenerate += 1
+            else:
+                run = 0
+            self.pivots[self.phase] += 1
             self._pivot(leave, enter)
 
     # -- phases --------------------------------------------------------
 
     def phase_one(self) -> bool:
         zero = Fraction(0)
-        if self.ncols == self.n_before_art:
-            self._set_costs([zero] * self.ncols)
-            return True
         costs = [zero] * self.ncols
         for j in range(self.n_before_art, self.ncols):
             costs[j] = Fraction(-1)
         self._set_costs(costs)
-        self._bland(self.ncols)
+        if self.ncols == self.n_before_art:
+            return True
+        self._run(self.ncols)
         if self.objval != 0:
             return False
-        # Drive any zero-valued artificial out of the basis, or drop its
-        # row if it is identically zero over the real columns.
-        drop = []
+        # Drive any zero-valued artificial out of the basis where a real
+        # column allows; a row that is identically zero over the real
+        # columns keeps its artificial, basic at zero, for good.
         for i in range(len(self.A)):
             if self.basis[i] >= self.n_before_art:
                 for j in range(self.n_before_art):
                     if self.A[i][j] != 0:
                         self._pivot(i, j)
                         break
-                else:
-                    drop.append(i)
-        for i in reversed(drop):
-            del self.A[i]
-            del self.b[i]
-            del self.basis[i]
-        # Forget the artificial block.
-        self.A = [row[: self.n_before_art] for row in self.A]
-        self.ncols = self.n_before_art
         return True
 
     def phase_two(self) -> str:
+        self.phase = 1
         coeffs, direction = self.problem.objective
         zero = Fraction(0)
         costs = [zero] * self.ncols
@@ -300,19 +367,17 @@ class _Tableau:
             if len(cols) == 2:
                 costs[cols[1]] -= flip * c
         self._set_costs(costs)
-        return self._bland(self.ncols)
+        return self._run(self.n_before_art)
 
     # -- extraction ----------------------------------------------------
 
     def _col_values(self) -> list[Fraction]:
         vals = [Fraction(0)] * self.ncols
         for i, col in enumerate(self.basis):
-            if col < self.ncols:
-                vals[col] = self.b[i]
+            vals[col] = self.b[i]
         return vals
 
-    def witness(self) -> dict[str, Fraction]:
-        vals = self._col_values()
+    def _per_variable(self, vals: list[Fraction]) -> dict[str, Fraction]:
         out = {}
         for name, _ in self.problem.variables:
             cols = self.var_cols[name]
@@ -322,35 +387,57 @@ class _Tableau:
             out[name] = v
         return out
 
+    def witness(self) -> dict[str, Fraction]:
+        return self._per_variable(self._col_values())
+
     def ray(self) -> dict[str, Fraction]:
         j = self.unbounded_col
         delta = [Fraction(0)] * self.ncols
         delta[j] = Fraction(1)
         for i, col in enumerate(self.basis):
             a = self.A[i][j]
-            if a and col < self.ncols:
+            if a:
                 delta[col] = -a
-        out = {}
-        for name, _ in self.problem.variables:
-            cols = self.var_cols[name]
-            v = delta[cols[0]]
-            if len(cols) == 2:
-                v -= delta[cols[1]]
-            out[name] = v
-        return out
+        return self._per_variable(delta)
+
+    def duals(self, sign: int = 1) -> tuple[Fraction, ...]:
+        """y = c_B B^-1 of the installed costs, per input row.
+
+        Row i's unit column u has y_i = c_u - red_u; a row negated to
+        make its rhs nonnegative gets its sign back, and sign turns the
+        values of a maximization into those of the original problem.
+        """
+        return tuple(
+            sign * (-1 if flipped else 1) * (self.costs[u] - self.red[u])
+            for u, flipped in zip(self.unit_col, self.flipped)
+        )
+
+    def stats(self) -> LpStats:
+        bits = max(x.denominator.bit_length() for x in chain(self.red, self.b, *self.A))
+        return LpStats(
+            rows=len(self.A),
+            columns=self.ncols,
+            phase_one_pivots=self.pivots[0],
+            phase_two_pivots=self.pivots[1],
+            degenerate_pivots=self.degenerate,
+            denominator_bits=bits,
+        )
 
 
 def solve(problem: LpProblem) -> LpOutcome:
     """Solve exactly; deterministic for a fixed problem."""
     tab = _Tableau(problem)
     if not tab.phase_one():
-        return LpOutcome(INFEASIBLE)
+        return LpOutcome(INFEASIBLE, duals=tab.duals(), stats=tab.stats())
     if problem.objective is None:
-        return LpOutcome(FEASIBLE, witness=tab.witness())
+        zeros = (Fraction(0),) * len(tab.A)
+        return LpOutcome(FEASIBLE, witness=tab.witness(), duals=zeros, stats=tab.stats())
     status = tab.phase_two()
     if status == "unbounded":
-        return LpOutcome(UNBOUNDED, witness=tab.witness(), ray=tab.ray())
+        return LpOutcome(UNBOUNDED, witness=tab.witness(), ray=tab.ray(), stats=tab.stats())
     value = tab.objval
+    sign = 1
     if problem.objective[1] == MINIMIZE:
-        value = -value
-    return LpOutcome(BOUNDED, witness=tab.witness(), value=value)
+        value, sign = -value, -1
+    return LpOutcome(BOUNDED, witness=tab.witness(), value=value,
+                     duals=tab.duals(sign), stats=tab.stats())

@@ -4,7 +4,10 @@ Everything here recomputes answers from first principles with the dumbest
 correct method available: permutation averaging enumerates all N! symbols,
 membership search scans a rational coefficient grid, and the linear-program
 oracle enumerates every basic solution with exact Gaussian elimination.
-Nothing in this module imports from the package under test.
+Nothing in this module imports from the package under test, except
+primal_decompose: it keeps the primal form of the cone programs, one row
+per point, and runs it on the package's simplex, which the enumeration
+oracle checks on its own.
 """
 
 from __future__ import annotations
@@ -186,3 +189,47 @@ def enumerate_lp_optimum(
     if best is None:
         return "infeasible", None
     return "optimal", best
+
+
+def primal_decompose(
+    size: int,
+    nonneg: Sequence[Sequence[Fraction]],
+    free: Sequence[Sequence[Fraction]] = (),
+    rhs: Optional[Sequence[Fraction]] = None,
+    normalized: bool = False,
+    costs: Optional[Sequence[Fraction]] = None,
+):
+    """The cone decomposition program in its primal form, on value lists.
+
+    One row per point w, sum_i lambda_i nonneg_i(w) + sum_j u_j free_j(w)
+    <= rhs(w), with lambda >= 0, u free and rhs zero when omitted; when
+    normalized the lambda sum to one; with costs (nonnegative columns
+    first) the program maximizes.  Returns None when infeasible, else
+    (lambda, u, slack, unbounded, value) with slack = rhs - combination
+    and value the objective at the solution (None without costs).
+    """
+    from desir.lp import LpProblem, solve
+
+    columns = [list(g) for g in nonneg] + [list(v) for v in free]
+    bound = list(rhs) if rhs is not None else [Fraction(0)] * size
+    if not columns:
+        if normalized or min(bound) < 0:
+            return None
+        return (), (), bound, False, Fraction(0) if costs is not None else None
+    names = [f"x{c}" for c in range(len(columns))]
+    variables = [(name, "nonneg" if c < len(nonneg) else "free")
+                 for c, name in enumerate(names)]
+    rows = [({name: g[w] for name, g in zip(names, columns) if g[w]}, b)
+            for w, b in enumerate(bound)]
+    normalization = [({name: 1 for name in names[: len(nonneg)]}, 1)] if normalized else []
+    objective = None if costs is None else (dict(zip(names, costs)), "max")
+    outcome = solve(LpProblem(variables, normalization, rows, objective))
+    if not outcome.is_feasible:
+        return None
+    x = [outcome.witness[name] for name in names]
+    slack = list(bound)
+    for weight, g in zip(x, columns):
+        slack = [s - weight * a for s, a in zip(slack, g)]
+    n = len(nonneg)
+    unbounded = outcome.status == "unbounded"
+    return tuple(x[:n]), tuple(x[n:]), slack, unbounded, outcome.value

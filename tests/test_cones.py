@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from desir.cones import (
+    _decompose,
     DesirCone,
     IncoherentConeError,
+    MemberReport,
     PrevisionValue,
     avoids_nonpositivity,
     is_marginally_desirable,
@@ -31,7 +33,7 @@ from desir.gambles import (
     count_representation,
     kernel_basis,
 )
-from oracles import enumerate_lp_optimum
+from oracles import enumerate_lp_optimum, primal_decompose
 
 F = Fraction
 BW = ("b", "w")
@@ -470,3 +472,174 @@ class TestRandomCountCones:
             assert answer.residual.is_nonnegative()
             combination = weighted_sum(answer.residual.space, answer.weights, raised)
             assert combination + answer.residual == q.raised(answer.degree)
+
+
+def check_solution(solution, nonneg, free, rhs, normalized=False, costs=None):
+    """Recompute a decomposition read back from the dual, by plain arithmetic.
+
+    A solution splits rhs into its combination plus a nonnegative slack;
+    an unbounded one is an improving ray, whose combination plus slack
+    is zero.
+    """
+    space = solution.slack.space
+    assert all(lam >= 0 for lam in solution.weights)
+    assert solution.slack.is_nonnegative()
+    total = weighted_sum(space, solution.weights, nonneg)
+    total = total + weighted_sum(space, solution.shifts, free) + solution.slack
+    assert total == (Gamble.zero(space) if solution.unbounded else rhs)
+    if normalized:
+        assert sum(solution.weights) == 1
+    if solution.unbounded:
+        gain = sum(c * x for c, x in zip(costs, solution.weights + solution.shifts))
+        assert gain > 0
+
+
+class TestDualAgainstPrimal:
+    """The dual programs against the primal ones in tests/oracles.py.
+
+    Seeded count cones with k in {2, 3} and totals 1-6 (up to 28
+    points).  The seed fixes the shape: k alternates, the total cycles
+    through 1-6, one to three generators, no lineality, a random
+    lineality vector or the constant gamble (which puts the constant in
+    the lineality span, so the Gordan program is infeasible), and every
+    fourth seed adds a generator that cancels the first, with or without
+    a sure loss.  Verdicts and values must agree exactly, and every
+    certificate the dual gives is recomputed.
+    """
+
+    @staticmethod
+    def instance(seed):
+        rng = random.Random(7000 + seed)
+        k = 2 + seed % 2
+        space = CountSpace(("a", "b", "c")[:k], 1 + (seed // 2) % 6)
+        generators = [random_gamble(rng, space, -2, 3) for _ in range(1 + seed % 3)]
+        if seed % 4 == 0:
+            generators.append(-generators[0] - F(seed % 8 // 4) * Gamble.unit(space))
+        kind = (seed // 3) % 3
+        lineality = [[], [random_gamble(rng, space)], [Gamble.unit(space)]][kind]
+        return rng, space, generators, lineality
+
+    @pytest.mark.parametrize("seed", range(36))
+    def test_cone_programs(self, seed):
+        rng, space, gens, lin = self.instance(seed)
+        size = space.size
+        vals = [g.values for g in gens]
+        lvals = [v.values for v in lin]
+        units = [Gamble.indicator(space, [p]).values for p in space.points()]
+
+        report = avoids_nonpositivity(gens, lin, space)
+        primal = primal_decompose(size, vals + units, lvals, normalized=True)
+        assert report.avoids == (primal is None)
+        if not report.avoids:
+            verify_witness(report.witness, gens, lin)
+
+        # The normalized program without unit indicators, as Bernstein runs it.
+        dual = _decompose(space, gens, lin, normalized=True)
+        primal = primal_decompose(size, vals, lvals, normalized=True)
+        assert (dual is None) == (primal is None)
+        if dual is not None:
+            check_solution(dual, gens, lin, Gamble.zero(space), normalized=True)
+
+        cone = DesirCone(space, gens, lin)
+        queries = [random_gamble(rng, space) for _ in range(3)]
+        queries += [g + Gamble.unit(space) for g in gens] + list(gens)
+        for f in queries:
+            shifts = (Gamble.unit(space),) + tuple(lin)
+            costs = [0] * len(gens) + [1] + [0] * len(lin)
+            dual = _decompose(space, gens, shifts, rhs=f, costs=costs)
+            primal = primal_decompose(size, vals, [s.values for s in shifts], f.values,
+                                      costs=[F(c) for c in costs])
+            check_solution(dual, gens, shifts, f, costs=costs)
+            assert dual.unbounded == primal[3]
+            lower = lower_prevision(cone, f)
+            if primal[3]:
+                assert lower == PrevisionValue.unbounded_above()
+            else:
+                assert lower == PrevisionValue.of(primal[1][0]) == PrevisionValue.of(
+                    dual.shifts[0])
+
+            dual = _decompose(space, gens, lin, rhs=f)
+            primal = primal_decompose(size, vals, lvals, f.values)
+            assert (dual is None) == (primal is None)
+            if dual is not None:
+                check_solution(dual, gens, lin, f)
+
+            if not report.avoids:
+                continue
+            costs = [1 - sum(g.values) for g in gens] + [-sum(v.values) for v in lin]
+            dual = _decompose(space, gens, lin, rhs=f, costs=costs)
+            primal = primal_decompose(size, vals, lvals, f.values, costs=costs)
+            assert (dual is None) == (primal is None)
+            if dual is None:
+                assert not membership_report(cone, f).member
+                continue
+            check_solution(dual, gens, lin, f)
+            assert not dual.unbounded and not primal[3]
+            assert sum(dual.weights) + sum(dual.slack.values) == sum(primal[0]) + sum(primal[2])
+            member = membership_report(cone, f)
+            assert member.member == (not f.is_zero() and sum(primal[0]) + sum(primal[2]) > 0)
+
+    @pytest.mark.parametrize("seed", range(36))
+    def test_bernstein_programs(self, seed):
+        rng, space, gens, _ = self.instance(seed)
+        polys = [from_count_gamble(g) for g in gens]
+        queries = [from_count_gamble(random_gamble(rng, space)) for _ in range(2)]
+        for n in range(space.total, space.total + 3):
+            raised_space = CountSpace(space.categories, n)
+            raised = [p.raised(n) for p in polys]
+            vals = [g.values for g in raised]
+            dual = _decompose(raised_space, raised, normalized=True)
+            primal = primal_decompose(raised_space.size, vals, normalized=True)
+            assert (dual is None) == (primal is None)
+            if dual is not None:
+                check_solution(dual, raised, (), Gamble.zero(raised_space), normalized=True)
+            for q in queries:
+                target = q.raised(n)
+                dual = _decompose(raised_space, raised, rhs=target)
+                primal = primal_decompose(raised_space.size, vals, rhs=target.values)
+                assert (dual is None) == (primal is None)
+                if dual is not None:
+                    check_solution(dual, raised, (), target)
+
+
+def test_dual_lower_prevision_takes_few_pivots(monkeypatch):
+    # k=4, N=10: 286 points, so 286 point columns in the dual program.
+    import desir.cones as cones_module
+
+    space = CountSpace(("a", "b", "c", "d"), 10)
+    gens = [Gamble.from_function(space, lambda m, i=i: F(m[i % 4] - m[(i + 1) % 4] + 3))
+            for i in range(3)]
+    f = Gamble.from_function(space, lambda m: F(m[0] ** 2 - m[1]))
+    solve, outcomes = cones_module.solve, []
+
+    def recording_solve(problem):
+        outcomes.append(solve(problem))
+        return outcomes[-1]
+
+    monkeypatch.setattr(cones_module, "solve", recording_solve)
+    lower = lower_prevision(DesirCone(space, gens), f)
+    assert lower.is_finite
+    (outcome,) = outcomes
+    stats = outcome.stats
+    assert stats.columns > space.size
+    assert stats.phase_one_pivots + stats.phase_two_pivots <= space.size // 20
+
+
+def test_member_indicator_weights_read_as_pairs():
+    # The weights are computed when read; they behave as the tuple of
+    # (point, weight) pairs of the remainder, and so does the report.
+    space = CountSpace(("a", "b"), 3)
+    g = Gamble.from_function(space, lambda m: F(m[0] - m[1]))
+    f = g + Gamble.from_function(space, lambda m: F(m[0] % 2))
+    report = membership_report(DesirCone(space, [g]), f)
+    assert report.member
+    pairs = tuple(report.indicator_weights)
+    remainder = f - weighted_sum(space, report.generator_weights, [g])
+    assert pairs == tuple((p, d) for p, d in remainder.items() if d)
+    assert len(report.indicator_weights) == len(pairs) > 0
+    assert report.indicator_weights[0] == pairs[0]
+    assert report.indicator_weights == pairs and pairs == report.indicator_weights
+    assert hash(report.indicator_weights) == hash(pairs)
+    assert repr(report.indicator_weights) == repr(pairs)
+    twin = MemberReport(True, report.generator_weights, pairs, report.lineality_weights)
+    assert twin == report and hash(twin) == hash(report)

@@ -10,6 +10,7 @@ from desir.lp import (
     FEASIBLE,
     INFEASIBLE,
     UNBOUNDED,
+    DEGENERATE_RUN,
     LpProblem,
     MalformedProblemError,
     solve,
@@ -22,6 +23,42 @@ F = Fraction
 
 def nn(*names):
     return [(n, "nonneg") for n in names]
+
+
+def check_duals(problem, out):
+    """The dual values certify the outcome by plain arithmetic.
+
+    Bounded: dual-feasible, with b . y equal to the value.  Infeasible:
+    a Farkas certificate, y . A >= 0 on nonnegative variables, zero on
+    free ones, inequality values nonnegative and b . y < 0.
+    """
+    rows = problem.equalities + problem.inequalities
+    y = out.duals
+    assert y is not None and len(y) == len(rows)
+    ineq = y[len(problem.equalities):]
+    column = {name: F(0) for name, _ in problem.variables}
+    for (coeffs, _rhs), yi in zip(rows, y):
+        for name, c in coeffs:
+            column[name] += yi * c
+    by = sum((yi * rhs for (_coeffs, rhs), yi in zip(rows, y)), F(0))
+    if out.status == INFEASIBLE:
+        assert all(v >= 0 for v in ineq)
+        for name, sign in problem.variables:
+            assert column[name] == 0 if sign == "free" else column[name] >= 0
+        assert by < 0
+        return
+    assert out.status == BOUNDED
+    row, direction = problem.objective
+    cost = {name: F(0) for name, _ in problem.variables}
+    cost.update(dict(row))
+    sense = 1 if direction == "max" else -1
+    assert all(sense * v >= 0 for v in ineq)
+    for name, sign in problem.variables:
+        if sign == "free":
+            assert column[name] == cost[name]
+        else:
+            assert sense * (column[name] - cost[name]) >= 0
+    assert by == out.value
 
 
 class TestKnownInstances:
@@ -89,6 +126,25 @@ class TestKnownInstances:
         out = solve(problem)
         assert out.status == BOUNDED and out.value == F(5, 4)
 
+    def test_beale_example_leaves_the_cycle_by_the_fallback(self):
+        # Largest-cost pivoting alone cycles here; the Bland fallback
+        # shows up as degenerate pivots before the optimum.
+        problem = LpProblem(
+            nn("x1", "x2", "x3", "x4"),
+            inequalities=[
+                ({"x1": F(1, 4), "x2": -8, "x3": -1, "x4": 9}, 0),
+                ({"x1": F(1, 2), "x2": -12, "x3": F(-1, 2), "x4": 3}, 0),
+                ({"x3": 1}, 1),
+            ],
+            objective=({"x1": F(3, 4), "x2": -20, "x3": F(1, 2), "x4": -6}, "max"),
+        )
+        out = solve(problem)
+        assert out.stats.degenerate_pivots >= DEGENERATE_RUN
+        assert out.stats.phase_one_pivots == 0
+        assert out.stats.phase_two_pivots > out.stats.degenerate_pivots
+        assert (out.stats.rows, out.stats.columns) == (3, 7)
+        check_duals(problem, out)
+
     def test_redundant_equality_rows(self):
         problem = LpProblem(
             nn("x", "y"),
@@ -148,6 +204,8 @@ class TestWitnessIntegrity:
             out = solve(problem)
             if out.status in (BOUNDED, UNBOUNDED):
                 self._check(problem, out)
+            if out.status in (BOUNDED, INFEASIBLE):
+                check_duals(problem, out)
 
     def test_unbounded_rays_improve(self):
         rng = random.Random(7)
@@ -209,5 +267,57 @@ class TestAgainstBasicSolutionEnumeration:
             else:
                 assert out.status == BOUNDED
                 assert out.value == value
+            check_duals(problem, out)
             checked[status] += 1
         assert checked["optimal"] >= 30 and checked["infeasible"] >= 10
+
+
+class TestDualValues:
+    """Dual values on mixed programs: free variables, both directions,
+    equalities and inequalities with either sign of rhs."""
+
+    def test_duals_certify_every_bounded_and_infeasible_outcome(self):
+        rng = random.Random(4242)
+        seen = {BOUNDED: 0, INFEASIBLE: 0}
+        for _ in range(300):
+            k = rng.randint(1, 4)
+            names = [f"x{i}" for i in range(k)]
+            variables = [(n, rng.choice(["nonneg", "nonneg", "free"])) for n in names]
+            ineqs = [({n: rng.randint(-3, 3) for n in names}, rng.randint(-3, 4))
+                     for _ in range(rng.randint(0, 3))]
+            eqs = [({n: rng.randint(-2, 2) for n in names}, rng.randint(-2, 2))
+                   for _ in range(rng.randint(0, 2))]
+            # A box keeps most programs bounded.
+            ineqs += [({n: 1}, 5) for n in names] + [({n: -1}, 5) for n in names]
+            direction = rng.choice(["max", "min"])
+            objective = ({n: rng.randint(-3, 3) for n in names}, direction)
+            problem = LpProblem(variables, eqs, ineqs, objective)
+            out = solve(problem)
+            if out.status in seen:
+                check_duals(problem, out)
+                seen[out.status] += 1
+        assert seen[BOUNDED] >= 100 and seen[INFEASIBLE] >= 30
+
+    def test_infeasible_equalities_carry_a_farkas_certificate(self):
+        problem = LpProblem(
+            nn("x", "y"),
+            equalities=[({"x": 1, "y": 1}, 1), ({"x": 1, "y": 1}, 2)],
+        )
+        out = solve(problem)
+        assert out.status == INFEASIBLE
+        check_duals(problem, out)
+
+    def test_feasibility_problems_have_zero_duals(self):
+        problem = LpProblem(nn("x"), inequalities=[({"x": 1}, 5)], equalities=[({"x": 1}, 2)])
+        out = solve(problem)
+        assert out.status == FEASIBLE and out.duals == (0, 0)
+
+    def test_redundant_rows_keep_their_duals(self):
+        problem = LpProblem(
+            nn("x", "y"),
+            equalities=[({"x": 1, "y": 1}, 2), ({"x": 2, "y": 2}, 4)],
+            inequalities=[({"x": 1}, -1), ({"y": -1}, 3)],
+            objective=({"x": 1}, "min"),
+        )
+        out = solve(problem)
+        check_duals(problem, out)
